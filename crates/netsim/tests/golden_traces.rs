@@ -3,7 +3,10 @@
 //! (JTP, TCP, ATP, CUBIC and BBR) — covering the headline metrics, an
 //! FNV over the full metrics encoding and the trace-stream checksum,
 //! plus a second committed file pinning the FNV checksum of the *entire*
-//! typed event stream (the third golden surface). Any engine change that
+//! typed event stream (the third golden surface). A third file pins the
+//! 1000+-node `xl_catalog()` under JTP, one digest + event-checksum line
+//! per entry, so the hierarchical backend's repair path is held to
+//! byte-identity, not only to lawfulness. Any engine change that
 //! perturbs observable behaviour — event ordering, RNG consumption, a
 //! counter, a float — flips at least one digest and fails here, the same
 //! way `engine_equivalence.rs` pins idle-slot skipping.
@@ -27,6 +30,10 @@ const GOLDEN: &str = include_str!("golden/digests.txt");
 
 /// The committed event-stream checksums, same line order as the digests.
 const GOLDEN_EVENTS: &str = include_str!("golden/events.txt");
+
+/// The committed xl-catalog pins: one digest line with its event checksum
+/// appended, per `xl_catalog()` entry under JTP.
+const GOLDEN_XL: &str = include_str!("golden/xl.txt");
 
 /// All five transports in golden-file order, with their line tags
 /// (`None` = the untagged historical JTP lines).
@@ -69,6 +76,41 @@ fn current_lines() -> (Vec<String>, Vec<String>) {
     (digests, events)
 }
 
+/// One line per `xl_catalog()` entry under JTP: the digest line with the
+/// event-stream checksum appended.
+fn xl_lines() -> Vec<String> {
+    Scenario::xl_catalog()
+        .iter()
+        .map(|sc| {
+            let (d, ev) = run_digest_events(&sc.build(TransportKind::Jtp));
+            format!("{} events={ev:016x}", d.to_line(&sc.name))
+        })
+        .collect()
+}
+
+/// Overwrite one committed golden file (`GOLDEN_REGEN` mode).
+fn regenerate(rel: &str, header: &str, lines: &[String]) {
+    let path = format!("{}/tests/golden/{rel}", env!("CARGO_MANIFEST_DIR"));
+    let mut body = String::from(header);
+    for l in lines {
+        body.push_str(l);
+        body.push('\n');
+    }
+    std::fs::write(&path, body).expect("write golden file");
+    println!("regenerated {path}");
+}
+
+fn assert_no_drift(drift: &[String]) {
+    assert!(
+        drift.is_empty(),
+        "golden drift in {} run(s):\n{}\n\
+         if intended, regenerate with GOLDEN_REGEN=1 cargo test -p \
+         jtp-netsim --test golden_traces and review the diff",
+        drift.len(),
+        drift.join("\n")
+    );
+}
+
 fn data_lines(file: &str) -> Vec<&str> {
     file.lines()
         .filter(|l| !l.is_empty() && !l.starts_with('#'))
@@ -97,17 +139,7 @@ fn check_surface(committed: &str, lines: &[String], what: &str) -> Vec<String> {
 fn catalog_digests_match_committed_golden_files() {
     let (digests, events) = current_lines();
     if std::env::var_os("GOLDEN_REGEN").is_some() {
-        let write = |rel: &str, header: &str, lines: &[String]| {
-            let path = format!("{}/tests/golden/{rel}", env!("CARGO_MANIFEST_DIR"));
-            let mut body = String::from(header);
-            for l in lines {
-                body.push_str(l);
-                body.push('\n');
-            }
-            std::fs::write(&path, body).expect("write golden file");
-            println!("regenerated {path}");
-        };
-        write(
+        regenerate(
             "digests.txt",
             "# Golden digests of the canonical scenario catalog: JTP per scenario,\n\
              # then `name:tcp` and `name:atp` pins.\n\
@@ -115,7 +147,7 @@ fn catalog_digests_match_committed_golden_files() {
              # Appended: `name:cubic` / `name:bbr` pins, then heavy-* x five transports.\n",
             &digests,
         );
-        write(
+        regenerate(
             "events.txt",
             "# FNV-1a checksums of the full typed event stream, one per run,\n\
              # same order as digests.txt (the third golden surface).\n\
@@ -126,14 +158,25 @@ fn catalog_digests_match_committed_golden_files() {
     }
     let mut drift = check_surface(GOLDEN, &digests, "digest");
     drift.extend(check_surface(GOLDEN_EVENTS, &events, "event-checksum"));
-    assert!(
-        drift.is_empty(),
-        "golden drift in {} run(s):\n{}\n\
-         if intended, regenerate with GOLDEN_REGEN=1 cargo test -p \
-         jtp-netsim --test golden_traces and review the diff",
-        drift.len(),
-        drift.join("\n")
-    );
+    assert_no_drift(&drift);
+}
+
+/// The 1000+-node xl catalog (hierarchical backend, churn, mobility,
+/// heavy traffic) pinned byte-for-byte under JTP.
+#[test]
+fn xl_catalog_digests_match_committed_golden_file() {
+    let lines = xl_lines();
+    if std::env::var_os("GOLDEN_REGEN").is_some() {
+        regenerate(
+            "xl.txt",
+            "# Golden digests + event-stream checksums of Scenario::xl_catalog()\n\
+             # under JTP, one line per entry.\n\
+             # Regenerate: GOLDEN_REGEN=1 cargo test -p jtp-netsim --test golden_traces\n",
+            &lines,
+        );
+        return;
+    }
+    assert_no_drift(&check_surface(GOLDEN_XL, &lines, "xl"));
 }
 
 /// Name the scenario and the exact digest fields that moved, so a failure
