@@ -34,18 +34,11 @@
 //!    results (pinned by the `mobile` tests and
 //!    `engine_equivalence::mobile_incremental_rebuilds_identical_to_scratch`);
 //!    only the wall clock differs.
-//! 7. **parallel** — the partitioned flood-plane engine: the n = 256
-//!    advert+churn flood workload and the catalog's 121-node lifetime run
-//!    at `workers` ∈ {1, 2, 4}. Results are byte-identical across worker
-//!    counts (pinned by `engine_equivalence` and the fuzz oracle); each
-//!    cell reports measured wall clock *and* the fan-outs' critical-path
-//!    speedup bound (Σ busy / Σ critical) — the honest number when the
-//!    host has fewer cores than workers (`host_threads` says which).
 //!
 //! Run: `cargo run --release -p jtp-bench --bin engine_bench -- --quick
 //! --json BENCH_engine.json`. `--section <name>` (repeatable) restricts
 //! the run to a named section — `queue_ops`, `slot_engine`, `batch`,
-//! `next_hop`, `scale`, `mobility`, `parallel` or `events` — and
+//! `next_hop`, `scale`, `mobility`, `events` or `xl` — and
 //! **fails loudly** on an unknown name.
 
 use jtp_bench::Args;
@@ -722,188 +715,6 @@ fn bench_mobility_repair(cols: usize, rows: usize, ticks: u64) -> ScaleCell {
     out
 }
 
-#[derive(Serialize)]
-struct ParallelCell {
-    scenario: String,
-    nodes: usize,
-    /// Requested flood-plane worker count (`ExperimentConfig::workers`).
-    workers: usize,
-    /// Hardware threads the host actually has — when smaller than
-    /// `workers`, the measured wall clock serialises the fan-outs and
-    /// `critical_path_speedup` is the honest capability number.
-    host_threads: usize,
-    wall_s: f64,
-    /// Total busy seconds across all fan-out chunks (the work that exists).
-    busy_s: f64,
-    /// Total critical-path seconds (slowest chunk per fan-out — the work
-    /// more cores cannot hide).
-    critical_s: f64,
-    /// Σ busy / Σ critical: the wall-clock speedup the partitioning makes
-    /// attainable with at least `workers` cores.
-    critical_path_speedup: f64,
-    /// Measured wall clock of this cell vs its workers = 1 sibling on
-    /// *this* host (≈ 1.0 or below on a single-core container).
-    measured_speedup_vs_1: f64,
-}
-
-fn host_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-}
-
-/// Partitioned flood-plane cells on the n = 256 advert+churn workload
-/// (the scale family's largest grid): the same flood sequence as
-/// `bench_scale_routing`, run once per worker count. Next hops are
-/// cross-checked against the sequential run before timing — `workers` is
-/// a pure performance knob and must never change a route.
-fn bench_parallel_routing(
-    cols: usize,
-    rows: usize,
-    rounds: u64,
-    workers_list: &[usize],
-) -> Vec<ParallelCell> {
-    let n = cols * rows;
-    let base = lattice_adj(cols, rows, None);
-    let flapped = lattice_adj(cols, rows, Some((n as u32 / 2, n as u32 / 2 + 1)));
-    let weights: Vec<Vec<u16>> = (0..rounds).map(|r| drained_weights(n, r, rounds)).collect();
-    let run_mode = |workers: usize| -> (f64, jtp_sim::par::ParStats) {
-        let mut ls = LinkState::new(&base, SimDuration::from_secs(5));
-        ls.set_workers(workers);
-        let start = Instant::now();
-        for round in 0..rounds {
-            let truth = if round % 8 == 4 { &flapped } else { &base };
-            ls.set_node_weights(Some(weights[round as usize].clone()));
-            ls.force_refresh_all(SimTime::from_secs_f64(round as f64 + 1.0), truth);
-            std::hint::black_box(ls.next_hop(NodeId(0), NodeId(n as u32 - 1)));
-        }
-        (start.elapsed().as_secs_f64(), ls.parallel_stats())
-    };
-    // Route-equality spot-check across the whole workers list before any
-    // timing (the full byte-identity is pinned by engine_equivalence).
-    {
-        let mut seq = LinkState::new(&base, SimDuration::from_secs(5));
-        let max_w = workers_list.iter().copied().max().unwrap_or(1);
-        let mut par = LinkState::new(&base, SimDuration::from_secs(5));
-        par.set_workers(max_w);
-        for (round, truth) in [(1u64, &base), (2, &flapped)] {
-            for ls in [&mut seq, &mut par] {
-                ls.set_node_weights(Some(drained_weights(n, round * 7, rounds)));
-                ls.force_refresh_all(SimTime::from_secs_f64(round as f64), truth);
-            }
-            for s in (0..n as u32).step_by(7) {
-                for d in (0..n as u32).step_by(5) {
-                    assert_eq!(
-                        seq.next_hop(NodeId(s), NodeId(d)),
-                        par.next_hop(NodeId(s), NodeId(d)),
-                        "workers={max_w} disagrees with sequential for {s}->{d}"
-                    );
-                }
-            }
-        }
-    }
-    run_mode(1); // warm
-    let best_of_2 = |w: usize| {
-        let (t1, st) = run_mode(w);
-        let (t2, _) = run_mode(w);
-        (t1.min(t2), st)
-    };
-    let mut cells = Vec::new();
-    let mut base_wall = None;
-    for &w in workers_list {
-        let (wall, stats) = best_of_2(w);
-        let base_wall = *base_wall.get_or_insert(wall);
-        let cell = ParallelCell {
-            scenario: format!("routing: {cols}x{rows} grid advert+churn floods"),
-            nodes: n,
-            workers: w,
-            host_threads: host_threads(),
-            wall_s: wall,
-            busy_s: stats.busy_ns as f64 / 1e9,
-            critical_s: stats.critical_ns as f64 / 1e9,
-            critical_path_speedup: stats.speedup_bound(),
-            measured_speedup_vs_1: base_wall / wall,
-        };
-        println!(
-            "parallel routing ({n:>3} nodes, w={w}): wall {wall:>8.3}s | measured {:.2}x | critical-path bound {:.2}x",
-            cell.measured_speedup_vs_1, cell.critical_path_speedup
-        );
-        cells.push(cell);
-    }
-    cells
-}
-
-/// Whole-run partitioned cells on a scale catalog entry: the full
-/// lifetime run per worker count, with the golden digest asserted equal
-/// to the sequential one before any cell is reported.
-fn bench_parallel_run(name: &str, workers_list: &[usize]) -> Vec<ParallelCell> {
-    use jtp_netsim::try_run_digest_on;
-    let sc = Scenario::catalog()
-        .into_iter()
-        .find(|s| s.name == name)
-        .expect("catalog scale entry");
-    let cfg = sc.build(TransportKind::Jtp);
-    let nodes = cfg.topology.node_count();
-    let d1 = try_run_digest_on(&cfg, 1).expect("catalog scenario runs");
-    for &w in workers_list {
-        let dw = try_run_digest_on(&cfg, w).expect("catalog scenario runs");
-        assert_eq!(
-            dw.to_line(name),
-            d1.to_line(name),
-            "workers={w} digest diverged from sequential"
-        );
-    }
-    let time_best_of_2 = |w: usize| -> (f64, jtp_sim::par::ParStats) {
-        let mut cfg = cfg.clone();
-        cfg.workers = w;
-        (0..2)
-            .map(|_| {
-                let (mut net, mut queue) =
-                    jtp_netsim::Network::new(&cfg, jtp_netsim::TraceConfig::default());
-                let horizon = net.horizon();
-                let start = Instant::now();
-                jtp_sim::run_until(&mut net, &mut queue, horizon);
-                net.finalize(horizon);
-                let wall = start.elapsed().as_secs_f64();
-                std::hint::black_box(net.metrics(horizon));
-                (wall, net.parallel_stats())
-            })
-            .fold(
-                (f64::INFINITY, jtp_sim::par::ParStats::default()),
-                |a, b| {
-                    if b.0 < a.0 {
-                        b
-                    } else {
-                        a
-                    }
-                },
-            )
-    };
-    let mut cells = Vec::new();
-    let mut base_wall = None;
-    for &w in workers_list {
-        let (wall, stats) = time_best_of_2(w);
-        let base_wall = *base_wall.get_or_insert(wall);
-        let cell = ParallelCell {
-            scenario: format!("run: {name} (JTP)"),
-            nodes,
-            workers: w,
-            host_threads: host_threads(),
-            wall_s: wall,
-            busy_s: stats.busy_ns as f64 / 1e9,
-            critical_s: stats.critical_ns as f64 / 1e9,
-            critical_path_speedup: stats.speedup_bound(),
-            measured_speedup_vs_1: base_wall / wall,
-        };
-        println!(
-            "parallel run {name:<19} (w={w}): wall {wall:>8.3}s | measured {:.2}x | critical-path bound {:.2}x",
-            cell.measured_speedup_vs_1, cell.critical_path_speedup
-        );
-        cells.push(cell);
-    }
-    cells
-}
-
 /// Event-layer overhead on the sparse-load engine workload: the same
 /// run under the disabled subscriber (every emission site compiled
 /// out), the default reception trace (the pre-event-layer hot path),
@@ -1008,12 +819,6 @@ struct Report {
     /// truth+BFS-repair tick vs the scratch rebuilds (byte-identical
     /// results, see the `mobile` tests).
     mobility: Vec<ScaleCell>,
-    /// Partitioned flood-plane engine at `workers` ∈ {1, 2, 4}: the
-    /// n = 256 flood workload and the 121-node lifetime run, with
-    /// measured wall clock and the critical-path speedup bound per cell
-    /// (byte-identical results, see `engine_equivalence` and the fuzz
-    /// oracle).
-    parallel: Vec<ParallelCell>,
     /// Event/telemetry layer overhead on the sparse-load workload:
     /// disabled subscriber vs the pre-event-layer hot path vs counting
     /// and full-report stacks (byte-identical results, see
@@ -1271,7 +1076,6 @@ fn main() {
         "next_hop",
         "scale",
         "mobility",
-        "parallel",
         "events",
         "xl",
     ]);
@@ -1398,19 +1202,7 @@ fn main() {
         }
     }
 
-    // 7. Parallel: the partitioned flood-plane engine — the n = 256
-    //    advert+churn flood workload and the catalog's 121-node lifetime
-    //    run at workers ∈ {1, 2, 4}. Byte-identity across worker counts is
-    //    asserted in-bench (digests + next-hop samples) on top of the
-    //    engine_equivalence pins.
-    let mut parallel = Vec::new();
-    if args.section_enabled("parallel") {
-        let adverts: u64 = args.pick(120, 40);
-        parallel.extend(bench_parallel_routing(16, 16, adverts, &[1, 2, 4]));
-        parallel.extend(bench_parallel_run("grid121-lifetime", &[1, 4]));
-    }
-
-    // 8. The event/telemetry layer: the zero-cost-when-disabled claim,
+    // 7. The event/telemetry layer    // 8. The event/telemetry layer: the zero-cost-when-disabled claim,
     //    measured — NoopSubscriber must be within noise of the
     //    pre-event-layer hot path (a default-config TraceSubscriber),
     //    with the counting and full-report stacks priced alongside.
@@ -1419,7 +1211,7 @@ fn main() {
         events.push(bench_events(args.pick(25_000.0, 1500.0)));
     }
 
-    // 9. xl: the 1000+-node family — routing-state footprint, churn
+    // 8. xl: the 1000+-node family — routing-state footprint, churn
     //    flood-repair cost and whole-run wall clock, exact vs
     //    hierarchical backend. Hierarchical must win at this scale; the
     //    cells assert it. Written as its own top-level JSON section (like
@@ -1448,7 +1240,6 @@ fn main() {
         next_hop,
         scale,
         mobility,
-        parallel,
         events,
     };
     // `--section xl` alone must not clobber the core report (or the

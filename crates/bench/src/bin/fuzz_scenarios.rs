@@ -2,9 +2,9 @@
 //!
 //! Sweeps a window of generated adversarial scenarios through
 //! `jtp_netsim::fuzz`'s oracle stack (naive vs skip engine, legacy vs
-//! incremental rebuilds, partitioned vs sequential flood-plane engine at
-//! workers ∈ {2, 4}, parallel vs sequential batches, metamorphic
-//! invariants, conservation checks). Panics inside a case are caught and
+//! incremental rebuilds, subscriber stack vs plain digest, parallel vs
+//! sequential batches, metamorphic invariants, conservation checks).
+//! Panics inside a case are caught and
 //! reported as failures with a self-contained repro, so one bad case
 //! never hides the rest of the sweep; genuine divergences are greedily
 //! shrunk to a minimal still-failing scenario before being reported.

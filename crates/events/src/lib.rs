@@ -26,7 +26,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use jtp_sim::par::ParStats;
 use jtp_sim::{FlowId, NodeId, SimTime};
 
 /// Why a data packet left the network without being delivered.
@@ -535,9 +534,8 @@ impl Subscriber for EventCounters {
     }
 }
 
-/// Wall-clock accounting per subsystem, plus the flood plane's
-/// [`ParStats`] (filled in by the runner from the routing layer after
-/// the run). Timing-only: it requests no events, so a lone
+/// Wall-clock accounting per subsystem. Timing-only: it requests no
+/// events, so a lone
 /// `TimeAccountant` keeps every emission site compiled out and only
 /// pays for the dispatch spans.
 ///
@@ -547,9 +545,6 @@ impl Subscriber for EventCounters {
 pub struct TimeAccountant {
     spans: [u64; Subsystem::COUNT],
     wall_ns: [u64; Subsystem::COUNT],
-    /// Flood-plane fan-out stats (busy / critical-path nanoseconds per
-    /// worker chunk), merged in by the runner.
-    pub par: ParStats,
 }
 
 impl TimeAccountant {
@@ -574,13 +569,12 @@ impl TimeAccountant {
             .sum()
     }
 
-    /// Fold another accountant in (e.g. when merging worker runs).
+    /// Fold another accountant in (e.g. when merging the runs of a batch).
     pub fn merge(&mut self, other: &TimeAccountant) {
         for i in 0..Subsystem::COUNT {
             self.spans[i] += other.spans[i];
             self.wall_ns[i] += other.wall_ns[i];
         }
-        self.par.merge(other.par);
     }
 }
 

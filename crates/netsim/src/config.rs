@@ -69,9 +69,6 @@ pub enum ConfigError {
     /// Node placement failed: the sampled geometry never produced a
     /// connected network within the resampling budget.
     Placement(String),
-    /// The worker-thread knob is unusable (zero workers would leave the
-    /// flood-plane fan-outs with nobody to run them).
-    Workers(String),
     /// The routing-backend knob clashes with another knob (today:
     /// hierarchical routing cannot consume energy-weighted tables).
     RoutingBackend(String),
@@ -92,7 +89,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::EnergyRouting(r) => write!(f, "energy routing: {r}"),
             ConfigError::Scenario { name, reason } => write!(f, "scenario {name:?}: {reason}"),
             ConfigError::Placement(r) => write!(f, "placement: {r}"),
-            ConfigError::Workers(r) => write!(f, "workers: {r}"),
             ConfigError::RoutingBackend(r) => write!(f, "routing backend: {r}"),
         }
     }
@@ -459,18 +455,6 @@ pub struct ExperimentConfig {
     /// O(n³) weighted Dijkstra per change — for benchmarking; results
     /// are byte-identical in both modes.
     pub incremental_rebuilds: bool,
-    /// Worker threads for the partitioned flood-plane engine: every
-    /// flooded advertisement's routing recomputation (BFS row repairs,
-    /// weighted-APSP repairs, next-hop row rebuilds) is partitioned
-    /// across this many scoped threads in contiguous source chunks and
-    /// merged in source order at the flood's virtual time. A **pure
-    /// performance knob**: traces, metrics and golden digests are
-    /// byte-identical for every value (1, the default, is today's fully
-    /// sequential path; values above the node count clamp to one node
-    /// per partition). The sequential TDMA event plane is the
-    /// conservative synchronizer — see ARCHITECTURE.md, "Partitioned
-    /// flood-plane engine".
-    pub workers: usize,
     /// Which routing backend maintains per-node views (see
     /// [`RoutingBackendKind`]). `Exact` (the default) reproduces every
     /// historical trace byte-for-byte; `Hierarchical` trades bounded
@@ -507,7 +491,6 @@ impl ExperimentConfig {
             idle_slot_skipping: true,
             wakeup_coalescing: true,
             incremental_rebuilds: true,
-            workers: 1,
             routing_backend: RoutingBackendKind::Exact,
         }
     }
@@ -618,14 +601,6 @@ impl ExperimentConfig {
         self
     }
 
-    /// Set the worker-thread count for the partitioned flood-plane
-    /// engine (see [`ExperimentConfig::workers`]). Byte-identical output
-    /// for every value ≥ 1; zero is rejected by [`Self::validate`].
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
     /// Select the routing backend (see [`RoutingBackendKind`]). The
     /// hierarchical backend is incompatible with
     /// [`ExperimentConfig::energy_aware_routing`]; the combination is
@@ -663,11 +638,6 @@ impl ExperimentConfig {
         }
         self.validate_topology_geometry()?;
         self.validate_timing()?;
-        if self.workers == 0 {
-            return Err(ConfigError::Workers(
-                "worker count must be at least 1 (1 = sequential engine)".into(),
-            ));
-        }
         self.jtp.validate().map_err(ConfigError::Jtp)?;
         self.pathloss.validate().map_err(ConfigError::PathLoss)?;
         if let Some(b) = &self.battery {
@@ -917,18 +887,6 @@ mod tests {
             initial_rate_pps: None,
         });
         assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn workers_zero_rejected_large_values_accepted() {
-        let base = ExperimentConfig::linear(3).bulk_flow(5, 0.0, 0.0);
-        assert_eq!(base.workers, 1, "sequential by default");
-        let zero = base.clone().workers(0);
-        assert!(matches!(zero.validate(), Err(ConfigError::Workers(_))));
-        assert!(zero.validate().unwrap_err().to_string().contains("workers"));
-        // Worker counts above the node count are valid (they clamp to
-        // one source per partition inside the routing layer).
-        base.clone().workers(64).validate().unwrap();
     }
 
     #[test]

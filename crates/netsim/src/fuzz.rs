@@ -14,9 +14,9 @@
 //!   byte-identical,
 //! * **incremental vs legacy rebuilds** — `incremental_rebuilds` off must
 //!   be byte-identical,
-//! * **partitioned vs sequential engine** — the flood plane on
-//!   `workers` ∈ {2, 4} threads must produce byte-identical golden
-//!   digests (same metrics *and* same reception trace checksum),
+//! * **subscriber stack vs plain digest** — the full report subscriber
+//!   pile must leave the golden digest and the event-stream checksum
+//!   byte-identical,
 //! * **parallel vs sequential batches** — `run_many_on(.., 2)` must equal
 //!   `run_many_on(.., 1)` replica for replica,
 //! * **metamorphic invariants** — post-horizon dynamics are inert;
@@ -337,40 +337,12 @@ pub fn check_scenario(sc: &Scenario, transport: TransportKind) -> CaseOutcome {
         }
     }
 
-    // Partitioned vs sequential flood-plane engine: `workers` must be a
-    // pure performance knob — identical golden digests (metrics FNV and
-    // reception-trace checksum) *and* identical full event-stream
-    // checksums for every worker count.
+    // The plain digest + event checksum: the reference the
+    // subscriber-stack oracle below compares against.
     match try_run_digest_events(&cfg) {
         Ok((d1, ev1)) => {
             engine_runs += 1;
             let line1 = d1.to_line(&sc.name);
-            for workers in [2usize, 4] {
-                let mut c = cfg.clone();
-                c.workers = workers;
-                match try_run_digest_events(&c) {
-                    Ok((dw, evw)) => {
-                        engine_runs += 1;
-                        if dw.to_line(&sc.name) != line1 {
-                            failures.push(format!(
-                                "partitioned engine (workers={workers}) diverged from the \
-                                 sequential digest:\n  seq: {line1}\n  par: {}",
-                                dw.to_line(&sc.name)
-                            ));
-                        }
-                        if evw != ev1 {
-                            failures.push(format!(
-                                "partitioned engine (workers={workers}) diverged on the \
-                                 event-stream checksum: {ev1:016x} vs {evw:016x}"
-                            ));
-                        }
-                    }
-                    Err(e) => failures.push(format!(
-                        "partitioned engine (workers={workers}) rejected a config the \
-                         sequential one ran: {e}"
-                    )),
-                }
-            }
             // Subscribers observe, never perturb: stacking the full
             // report pile (recorder + time accountant + event checksum)
             // next to the digest's trace must leave the digest
@@ -457,9 +429,9 @@ pub fn check_scenario(sc: &Scenario, transport: TransportKind) -> CaseOutcome {
 /// Starting from `sc` (for which `still_fails` must hold), repeatedly try
 /// deleting one component at a time — dynamics events first, then traffic
 /// flows, then nodes (via topology-shape steps: shorter chain, dropped
-/// lattice row/column, dropped cluster), then the engine knobs back to
-/// their defaults (`workers` → 1, `routing_backend` → exact) — keeping
-/// each reduction only if the shrunk scenario still fails. Runs to a fixpoint: one full pass in
+/// lattice row/column, dropped cluster), then the routing backend back to
+/// its default (exact) — keeping each reduction only if the shrunk
+/// scenario still fails. Runs to a fixpoint: one full pass in
 /// which no deletion survives. Candidates that merely become *invalid*
 /// (e.g. traffic referencing a dropped node) naturally report not-failing
 /// via the predicate (the oracle stack rejects them cleanly), so the
@@ -508,14 +480,8 @@ pub fn shrink_scenario(
             cand.topology = topo;
             progressed |= try_shrink(&mut cur, cand, &mut evals);
         }
-        // Engine knobs toward their defaults: a repro that survives on
-        // one worker and the exact backend implicates neither the
-        // flood-plane partitioning nor the hierarchical tables.
-        if cur.workers != 1 {
-            let mut cand = cur.clone();
-            cand.workers = 1;
-            progressed |= try_shrink(&mut cur, cand, &mut evals);
-        }
+        // The backend toward its default: a repro that survives on the
+        // exact backend does not implicate the hierarchical tables.
         if cur.routing_backend != RoutingBackendKind::Exact {
             let mut cand = cur.clone();
             cand.routing_backend = RoutingBackendKind::Exact;
@@ -1307,9 +1273,8 @@ mod tests {
 
     #[test]
     fn shrinker_resets_engine_knobs_to_defaults() {
-        // The failing core is one dynamics event; the worker count and
-        // routing backend are innocent bystanders the shrinker must
-        // return to their defaults.
+        // The failing core is one dynamics event; the routing backend is
+        // an innocent bystander the shrinker must return to its default.
         let sc = Scenario::new(
             "knobs",
             TopologyKind::Linear {
@@ -1317,7 +1282,6 @@ mod tests {
                 spacing_m: 50.0,
             },
         )
-        .workers(4)
         .routing_backend(RoutingBackendKind::Hierarchical)
         .dynamics(DynamicsSpec::AreaFailure {
             x_m: 0.0,
@@ -1334,7 +1298,6 @@ mod tests {
             },
             1000,
         );
-        assert_eq!(min.workers, 1, "workers not reduced");
         assert_eq!(
             min.routing_backend,
             RoutingBackendKind::Exact,

@@ -9,9 +9,6 @@
 //!   meter; TDMA slots; routing; per-protocol endpoints),
 //! * [`scenario`] — the declarative scenario engine: traffic patterns ×
 //!   substrate dynamics × topologies, lowered onto [`ExperimentConfig`],
-//! * [`partition`] — topology cuts and the flood-plane synchronizer
-//!   behind the `workers` knob (partitioned output is byte-identical to
-//!   sequential — see ARCHITECTURE.md, "Partitioned flood-plane engine"),
 //! * [`runner`] — single runs, traced runs, parallel multi-seed batches
 //!   with confidence intervals, and golden-trace digests,
 //! * [`metrics`] — energy-per-bit, goodput and mechanism counters,
@@ -39,7 +36,6 @@ pub mod config;
 pub mod fuzz;
 pub mod metrics;
 pub mod network;
-pub mod partition;
 pub mod payload;
 pub mod report;
 pub mod runner;
@@ -57,16 +53,14 @@ pub use fuzz::{
 };
 pub use metrics::{FlowMetrics, Metrics};
 pub use network::{cluster_spec_for, Event, Network};
-pub use partition::{FloodSync, TopologyCut};
 pub use report::{
     render_markdown, run_report, try_run_report, FlowReport, ReportRecorder, ScenarioReport,
     TimeBreakdown,
 };
 pub use runner::{
     run_digest, run_digest_events, run_experiment, run_many, run_many_on, run_subscribed,
-    run_traced, summarize_runs, try_run_digest, try_run_digest_events, try_run_digest_on,
-    try_run_digest_with, try_run_experiment, try_run_subscribed, try_run_traced, GoldenDigest,
-    Summary,
+    run_traced, summarize_runs, try_run_digest, try_run_digest_events, try_run_digest_with,
+    try_run_experiment, try_run_subscribed, try_run_traced, GoldenDigest, Summary,
 };
 pub use scenario::{DynamicsSpec, Scenario, TrafficPattern};
 pub use trace::{EventChecksum, TraceConfig, TraceLog, TraceSubscriber};

@@ -49,7 +49,6 @@ use crate::config::{
     MobilityConfig, RoutingBackendKind, TopologyKind, TransportKind,
 };
 use crate::metrics::{FlowMetrics, Metrics};
-use crate::partition::{FloodSync, TopologyCut};
 use crate::payload::{Payload, TransportPacket};
 use crate::topology::{
     adjacency_from_positions, adjacency_from_positions_brute, field_for, geometry_edge_diff,
@@ -222,12 +221,6 @@ pub struct Network<S: Subscriber = NoopSubscriber> {
     flows: Vec<Flow>,
     schedule: TdmaSchedule,
     routing: LinkState,
-    /// Static cut of the topology across the flood-plane workers (the
-    /// `ExperimentConfig::workers` knob; 1 partition = sequential).
-    cut: TopologyCut,
-    /// Flood-barrier ledger: one cross-partition batch exchange per
-    /// routing flood, merged at the flood's virtual time.
-    flood_sync: FloodSync,
     /// Effective ground truth: geometric connectivity masked by the
     /// substrate state (churn, blackouts, partitions, battery deaths),
     /// maintained incrementally per dynamics event.
@@ -375,7 +368,6 @@ impl<S: Subscriber> Network<S> {
         let mut routing = LinkState::with_backend(truth.adjacency(), cfg.routing_refresh, &select);
         routing.set_full_weighted_rebuild(!cfg.incremental_rebuilds);
         routing.set_full_table_rebuild(!cfg.incremental_rebuilds);
-        routing.set_workers(cfg.workers);
         let schedule = TdmaSchedule::new(n as u32, cfg.slot, cfg.seed);
         let capacity = schedule.per_node_capacity_pps();
         let field = field_for(&cfg.topology);
@@ -540,8 +532,6 @@ impl<S: Subscriber> Network<S> {
             flows,
             schedule,
             routing,
-            cut: TopologyCut::new(n, cfg.workers),
-            flood_sync: FloodSync::default(),
             truth,
             channels: vec![None; n * (n.saturating_sub(1)) / 2],
             attempt_rng: SimRng::derive(cfg.seed, "channel-attempts"),
@@ -607,24 +597,6 @@ impl<S: Subscriber> Network<S> {
     /// True once every flow has completed (false when there are no flows).
     pub fn all_flows_completed(&self) -> bool {
         !self.flows.is_empty() && self.completed_flows == self.flows.len()
-    }
-
-    /// The static topology cut behind [`ExperimentConfig::workers`].
-    pub fn partition_cut(&self) -> &TopologyCut {
-        &self.cut
-    }
-
-    /// The flood-barrier ledger: how many cross-partition batch exchanges
-    /// the run performed, and the virtual time of the last one.
-    pub fn flood_sync(&self) -> FloodSync {
-        self.flood_sync
-    }
-
-    /// Wall-clock accounting of the routing layer's flood-plane fan-outs
-    /// (all-zero when `workers` = 1). Never part of [`Metrics`]: wall time
-    /// is host noise, results are byte-identical across worker counts.
-    pub fn parallel_stats(&self) -> jtp_sim::par::ParStats {
-        self.routing.parallel_stats()
     }
 
     // ------------------------------------------------------------------
@@ -953,7 +925,6 @@ impl<S: Subscriber> Network<S> {
     /// start/end events whose costs are exact routing work-counter
     /// deltas, under a flood-plane wall span when the subscriber times.
     fn flood_views(&mut self, now: SimTime, cause: FloodCause, all: bool) {
-        self.flood_sync.note_flood(now);
         let before = if S::ENABLED {
             self.sub.on_flood_start(now, &FloodStart { cause });
             Some(self.routing.stats())

@@ -258,7 +258,7 @@ pub struct ScenarioReport {
 /// deterministic; [`render_markdown`] prints it in its own section.
 #[derive(Clone, Debug, Default)]
 pub struct TimeBreakdown {
-    /// Per-subsystem spans and wall time, plus flood-plane fan-out stats.
+    /// Per-subsystem spans and wall time.
     pub time: TimeAccountant,
 }
 
@@ -417,9 +417,10 @@ pub fn try_run_report(
     transport: TransportKind,
 ) -> Result<(ScenarioReport, TimeBreakdown), ConfigError> {
     let cfg = sc.try_build(transport)?;
-    let (m, (rec, mut time), par) =
-        crate::runner::run_harvest(&cfg, (ReportRecorder::new(), TimeAccountant::default()))?;
-    time.par.merge(par);
+    let (m, (rec, time)) = crate::runner::try_run_subscribed(
+        &cfg,
+        (ReportRecorder::new(), TimeAccountant::default()),
+    )?;
     let report = rec.into_report(&sc.name, transport, cfg.seed, &m);
     Ok((report, TimeBreakdown { time }))
 }
@@ -559,17 +560,6 @@ pub fn render_markdown(r: &ScenarioReport, time: Option<&TimeBreakdown>) -> Stri
              sub-spans of their dispatch bucket, not additive)",
             t.dispatch_wall_ns() as f64 / 1e6,
         );
-        if t.par.fanouts > 0 {
-            let _ = writeln!(
-                out,
-                "\nflood-plane fan-outs: {} (busy {:.3} ms, critical path {:.3} ms, \
-                 speedup bound {:.2}×)",
-                t.par.fanouts,
-                t.par.busy_ns as f64 / 1e6,
-                t.par.critical_ns as f64 / 1e6,
-                t.par.speedup_bound(),
-            );
-        }
     }
     out
 }

@@ -50,16 +50,6 @@ pub fn try_run_subscribed<S: Subscriber>(
     cfg: &ExperimentConfig,
     sub: S,
 ) -> Result<(Metrics, S), ConfigError> {
-    run_harvest(cfg, sub).map(|(m, sub, _)| (m, sub))
-}
-
-/// The run-and-harvest core: like [`try_run_subscribed`] but also hands
-/// back the routing layer's flood-plane [`ParStats`] (wall-clock fan-out
-/// accounting the report layer folds into its time breakdown).
-pub(crate) fn run_harvest<S: Subscriber>(
-    cfg: &ExperimentConfig,
-    sub: S,
-) -> Result<(Metrics, S, jtp_sim::par::ParStats), ConfigError> {
     let (mut net, mut queue) = Network::try_with_subscriber(cfg, sub)?;
     let horizon = net.horizon();
     run_until(&mut net, &mut queue, horizon);
@@ -75,8 +65,7 @@ pub(crate) fn run_harvest<S: Subscriber>(
         horizon
     };
     let m = net.metrics(now);
-    let par = net.parallel_stats();
-    Ok((m, net.into_subscriber(), par))
+    Ok((m, net.into_subscriber()))
 }
 
 /// Run one experiment with tracing enabled.
@@ -279,21 +268,6 @@ pub fn run_digest_events(cfg: &ExperimentConfig) -> (GoldenDigest, u64) {
 pub fn try_run_digest_events(cfg: &ExperimentConfig) -> Result<(GoldenDigest, u64), ConfigError> {
     let (d, ev) = try_run_digest_with(cfg, crate::trace::EventChecksum::default())?;
     Ok((d, ev.finish()))
-}
-
-/// [`try_run_digest`] on the partitioned engine: run `cfg` with
-/// [`ExperimentConfig::workers`] overridden to `workers`. The byte-identity
-/// rule makes this a pure performance knob — the digest must equal the
-/// sequential one for every worker count, which is exactly what the
-/// partitioned-vs-sequential differential oracle and the
-/// `engine_equivalence` worker sweeps assert.
-pub fn try_run_digest_on(
-    cfg: &ExperimentConfig,
-    workers: usize,
-) -> Result<GoldenDigest, ConfigError> {
-    let mut cfg = cfg.clone();
-    cfg.workers = workers;
-    try_run_digest(&cfg)
 }
 
 /// Convenience: batch-run and summarise energy-per-bit and goodput, the

@@ -598,10 +598,6 @@ pub struct Scenario {
     pub duty_cycle: Option<DutyCycleConfig>,
     /// Route on residual-energy-weighted shortest paths (needs a battery).
     pub energy_routing: bool,
-    /// Flood-plane worker threads (1 = sequential). A pure performance
-    /// knob: every value produces byte-identical results, so the catalog
-    /// keeps the default and goldens never depend on it.
-    pub workers: usize,
     /// Which routing backend maintains per-node views. `Exact` (the
     /// default) keeps every historical golden byte-identical; the
     /// `xl` catalog switches to `Hierarchical` for sub-quadratic
@@ -631,7 +627,6 @@ impl Scenario {
             battery: None,
             duty_cycle: None,
             energy_routing: false,
-            workers: 1,
             routing_backend: RoutingBackendKind::Exact,
             slot_ms: None,
         }
@@ -686,13 +681,6 @@ impl Scenario {
         self
     }
 
-    /// Run the flood plane on `workers` threads (1 = sequential). Pure
-    /// performance knob — results are byte-identical for every value.
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
     /// Select the routing backend (see [`RoutingBackendKind`]).
     pub fn routing_backend(mut self, kind: RoutingBackendKind) -> Self {
         self.routing_backend = kind;
@@ -740,7 +728,6 @@ impl Scenario {
         if self.energy_routing {
             cfg = cfg.energy_aware_routing();
         }
-        cfg = cfg.workers(self.workers);
         cfg = cfg.routing_backend(self.routing_backend);
         if let Some(ms) = self.slot_ms {
             cfg.slot = SimDuration::from_millis(ms);

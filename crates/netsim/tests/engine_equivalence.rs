@@ -8,14 +8,6 @@
 //! resolve identically in both modes, and mirrors the naive engine's
 //! early-stop once all flows complete — these tests pin all of that down
 //! across transports, loads, mobility and partial transfers.
-//!
-//! The same rule binds the partitioned flood-plane engine: the
-//! `ExperimentConfig::workers` knob must be *pure performance* — every
-//! worker count reproduces the sequential run byte-for-byte (golden
-//! digests included), pinned here across the whole scenario catalog and
-//! on targeted compositions (mid-run battery death, churn floods,
-//! mobility ticks) plus the degenerate worker counts (workers > nodes,
-//! one node per partition).
 
 use jtp_netsim::{
     run_experiment, run_traced, ExperimentConfig, FlowSpec, Metrics, TraceConfig, TransportKind,
@@ -621,224 +613,4 @@ fn traces_identical_under_skipping() {
     assert_identical(&m_fast, &m_naive, "traced");
     assert_eq!(t_fast.receptions, t_naive.receptions);
     assert_eq!(t_fast.attempts, t_naive.attempts);
-}
-
-// ---------------------------------------------------------------------
-// Partitioned flood-plane engine: workers is a pure performance knob
-// ---------------------------------------------------------------------
-
-/// Run `cfg` with the flood plane on `workers` threads.
-fn run_workers(cfg: &ExperimentConfig, workers: usize) -> Metrics {
-    let mut cfg = cfg.clone();
-    cfg.workers = workers;
-    run_experiment(&cfg)
-}
-
-/// The committed golden digests (also pinned, at workers = 1, by
-/// `golden_traces.rs`), keyed by pin name (`name` for JTP, `name:tag`
-/// for the baseline transports) so the tests are layout-independent:
-/// the file grows append-only and heavy-* entries are grouped by
-/// scenario rather than by transport block.
-fn committed_golden_map() -> std::collections::HashMap<String, String> {
-    include_str!("golden/digests.txt")
-        .lines()
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-        .map(|l| {
-            let name = l.split_whitespace().next().expect("non-empty pin line");
-            (name.to_string(), l.to_string())
-        })
-        .collect()
-}
-
-/// The whole scenario catalog, partitioned across 2, 4 and 8 workers,
-/// must reproduce the committed golden digests byte-for-byte. The
-/// committed lines *are* the workers = 1 output (`golden_traces.rs` pins
-/// that side), so this closes the full workers ∈ {1, 2, 4, 8} square:
-/// same traces, same metrics, same digests, for every catalog entry.
-#[test]
-fn catalog_digests_identical_across_workers() {
-    use jtp_netsim::{try_run_digest_on, Scenario};
-    let cat = Scenario::catalog();
-    let golden = committed_golden_map();
-    let mut drift = Vec::new();
-    for sc in cat.iter() {
-        let want = golden
-            .get(sc.name.as_str())
-            .unwrap_or_else(|| panic!("no golden JTP pin for {}", sc.name));
-        let cfg = sc.build(TransportKind::Jtp);
-        for workers in [2usize, 4, 8] {
-            let got = try_run_digest_on(&cfg, workers)
-                .expect("catalog scenario must run")
-                .to_line(&sc.name);
-            if got != *want {
-                drift.push(format!(
-                    "  {} (workers={workers}):\n    want {want}\n    got  {got}",
-                    sc.name
-                ));
-            }
-        }
-    }
-    assert!(
-        drift.is_empty(),
-        "partitioned engine diverged from the sequential goldens:\n{}",
-        drift.join("\n")
-    );
-}
-
-/// A slice of the baseline-transport golden pins (TCP, ATP, CUBIC, BBR)
-/// under the partitioned engine: the byte-identity rule is
-/// transport-independent.
-#[test]
-fn baseline_transport_digests_identical_across_workers() {
-    use jtp_netsim::{try_run_digest_on, Scenario};
-    let cat = Scenario::catalog();
-    let golden = committed_golden_map();
-    assert_eq!(
-        golden.len(),
-        5 * cat.len(),
-        "five transport pins per catalog entry"
-    );
-    for (t, tag) in [
-        (TransportKind::Tcp, "tcp"),
-        (TransportKind::Atp, "atp"),
-        (TransportKind::Cubic, "cubic"),
-        (TransportKind::Bbr, "bbr"),
-    ] {
-        for sc in cat.iter().take(3) {
-            let name = format!("{}:{tag}", sc.name);
-            let want = golden
-                .get(name.as_str())
-                .unwrap_or_else(|| panic!("no golden pin for {name}"));
-            let got = try_run_digest_on(&sc.build(t), 4)
-                .expect("catalog scenario must run")
-                .to_line(&name);
-            assert_eq!(&got, want, "{name} diverged at workers=4");
-        }
-    }
-}
-
-/// Mid-run battery death: the death flood (and the routing recomputation
-/// it fans out) must merge identically whatever the worker count.
-#[test]
-fn battery_death_identical_across_workers() {
-    use jtp_phys::BatteryConfig;
-    let mut cfg = ExperimentConfig::linear(6)
-        .transport(TransportKind::Jtp)
-        .duration_s(700.0)
-        .seed(640)
-        .flow(FlowSpec {
-            src: NodeId(0),
-            dst: NodeId(5),
-            start: SimDuration::from_secs(5),
-            packets: u32::MAX / 2,
-            loss_tolerance: 1.0,
-            initial_rate_pps: None,
-        });
-    cfg.battery = Some(BatteryConfig {
-        capacity_j: 0.35,
-        ..BatteryConfig::javelen_small()
-    });
-    let seq = run_workers(&cfg, 1);
-    assert!(seq.battery_deaths > 0, "deaths must flood mid-run");
-    for w in [2usize, 4] {
-        let par = run_workers(&cfg, w);
-        assert_identical(&seq, &par, &format!("battery death, workers={w}"));
-    }
-}
-
-/// Churn floods (node crash/heal, a partition window, link flaps): every
-/// dynamics event floods a refresh whose fan-out must merge in source
-/// order on any worker count.
-#[test]
-fn churn_floods_identical_across_workers() {
-    use jtp_netsim::{DynamicsAction, DynamicsEvent};
-    let cfg = ExperimentConfig::linear(7)
-        .transport(TransportKind::Jtp)
-        .duration_s(900.0)
-        .seed(321)
-        .bulk_flow(60, 5.0, 0.0)
-        .dynamic(DynamicsEvent::at_s(
-            40.0,
-            DynamicsAction::NodeDown(NodeId(3)),
-        ))
-        .dynamic(DynamicsEvent::at_s(
-            160.0,
-            DynamicsAction::NodeUp(NodeId(3)),
-        ))
-        .dynamic(DynamicsEvent::at_s(
-            220.0,
-            DynamicsAction::PartitionStart(vec![NodeId(0), NodeId(1), NodeId(2)]),
-        ))
-        .dynamic(DynamicsEvent::at_s(320.0, DynamicsAction::PartitionEnd))
-        .dynamic(DynamicsEvent::at_s(
-            400.0,
-            DynamicsAction::LinkDown(NodeId(4), NodeId(5)),
-        ))
-        .dynamic(DynamicsEvent::at_s(
-            430.0,
-            DynamicsAction::LinkUp(NodeId(4), NodeId(5)),
-        ));
-    let seq = run_workers(&cfg, 1);
-    assert!(seq.churn_drops + seq.no_route_drops > 0, "churn must bite");
-    for w in [2usize, 4] {
-        let par = run_workers(&cfg, w);
-        assert_identical(&seq, &par, &format!("churn floods, workers={w}"));
-    }
-}
-
-/// Mobility ticks move nodes across partition boundaries every update
-/// period; the per-tick view refreshes must stay byte-identical, with
-/// batteries and energy re-advertisement floods layered on top.
-#[test]
-fn mobility_ticks_identical_across_workers() {
-    use jtp_phys::BatteryConfig;
-    let mut cfg = ExperimentConfig::random(10)
-        .transport(TransportKind::Jtp)
-        .duration_s(400.0)
-        .seed(649)
-        .mobile(1.0)
-        .flow(FlowSpec {
-            src: NodeId(0),
-            dst: NodeId(9),
-            start: SimDuration::from_secs(5),
-            packets: u32::MAX / 2,
-            loss_tolerance: 1.0,
-            initial_rate_pps: None,
-        });
-    cfg.battery = Some(BatteryConfig {
-        capacity_j: 0.3,
-        ..BatteryConfig::javelen_small()
-    });
-    let seq = run_workers(&cfg, 1);
-    assert!(seq.battery_deaths > 0, "deaths must flood under mobility");
-    for w in [2usize, 4] {
-        let par = run_workers(&cfg, w);
-        assert_identical(&seq, &par, &format!("mobility ticks, workers={w}"));
-    }
-}
-
-/// Degenerate worker counts: more workers than nodes (the cut clamps to
-/// one node per partition) and exactly one node per partition must both
-/// behave identically to the sequential engine.
-#[test]
-fn degenerate_worker_counts_identical() {
-    let n = 6;
-    let cfg = ExperimentConfig::linear(n)
-        .transport(TransportKind::Jtp)
-        .duration_s(600.0)
-        .seed(901)
-        .bulk_flow(40, 5.0, 0.0);
-    let seq = run_workers(&cfg, 1);
-    assert!(seq.delivered_packets > 0);
-    for w in [n, 64] {
-        let par = run_workers(&cfg, w);
-        assert_identical(&seq, &par, &format!("degenerate workers={w}"));
-    }
-    // The cut itself clamps: 64 requested workers on 6 nodes = 6
-    // single-node partitions.
-    let mut wcfg = cfg.clone();
-    wcfg.workers = 64;
-    let (net, _q) = jtp_netsim::Network::try_new(&wcfg, TraceConfig::default()).unwrap();
-    assert_eq!(net.partition_cut().workers(), n);
-    assert!(net.partition_cut().ranges().iter().all(|r| r.len() == 1));
 }

@@ -3,10 +3,9 @@
 //! wall-clock-bounded end-to-end smoke run (release-only; CI's
 //! `xl-smoke` job executes it with `--ignored`).
 //!
-//! The exact backend's byte-identity across the routing refactor and
-//! worker counts is pinned elsewhere (`golden_traces.rs`,
-//! `engine_equivalence.rs`) on the historical catalog; this file owns
-//! what is *new* at xl scale.
+//! Byte-identity is pinned elsewhere: `golden_traces.rs` holds the
+//! historical catalog and one digest line per xl entry; this file owns
+//! the xl family's lawfulness and scale checks.
 
 use jtp_netsim::topology::{adjacency_from_positions, place_nodes};
 use jtp_netsim::{cluster_spec_for, RoutingBackendKind, Scenario, TransportKind};

@@ -4,14 +4,13 @@
 //! [`RoutingBackend`] is the surface the flood paths consume — queries
 //! (`next_hop`, `remaining_hops`, the converged-distance row access,
 //! stats) and mutations (the churn/weight/geometry-diff repairs behind
-//! `refresh_due_views` / `force_refresh*`, worker-chunked rebuilds
-//! behind `set_workers`). Two implementors exist:
+//! `refresh_due_views` / `force_refresh*`). Two implementors exist:
 //!
 //! * [`ExactBackend`] — the historical flat-table
 //!   machinery, moved behind the trait **byte-identically**: with
 //!   `routing_backend = exact` every golden digest, event checksum and
-//!   statistic is unchanged from before the refactor, for every worker
-//!   count (the netsim equivalence suites pin this);
+//!   statistic is unchanged from before the refactor (the netsim golden
+//!   and equivalence suites pin this);
 //! * [`HierarchicalBackend`] — cluster
 //!   routing with O(k·n) state; routes are lawful (loop-free, deliver
 //!   whenever exact does, stretch bounded by the destination cluster's
@@ -26,7 +25,6 @@
 use crate::graph::Adjacency;
 use crate::hierarchy::{ClusterSpec, HierarchicalBackend, HierarchyStats};
 use crate::linkstate::{ExactBackend, RoutingStats};
-use jtp_sim::par::ParStats;
 use jtp_sim::{NodeId, SimDuration, SimTime};
 
 /// The query/mutation surface a routing backend offers the engine's
@@ -40,14 +38,6 @@ pub trait RoutingBackend {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Worker-thread count for the flood-plane fan-outs. A pure
-    /// performance knob: every backend's results are byte-identical for
-    /// every value.
-    fn set_workers(&mut self, workers: usize);
-
-    /// Fan-out wall-clock accounting (perf diagnostics only).
-    fn parallel_stats(&self) -> ParStats;
 
     /// Advertise per-node forwarding weights (energy-aware routing), or
     /// `None` for plain hop counts. The hierarchical backend rejects
@@ -98,12 +88,6 @@ impl RoutingBackend for ExactBackend {
     fn len(&self) -> usize {
         self.len()
     }
-    fn set_workers(&mut self, workers: usize) {
-        self.set_workers(workers);
-    }
-    fn parallel_stats(&self) -> ParStats {
-        self.parallel_stats()
-    }
     fn set_node_weights(&mut self, weights: Option<Vec<u16>>) {
         self.set_node_weights(weights);
     }
@@ -139,12 +123,6 @@ impl RoutingBackend for ExactBackend {
 impl RoutingBackend for HierarchicalBackend {
     fn len(&self) -> usize {
         self.len_impl()
-    }
-    fn set_workers(&mut self, workers: usize) {
-        self.set_workers_impl(workers);
-    }
-    fn parallel_stats(&self) -> ParStats {
-        self.parallel_stats_impl()
     }
     fn set_node_weights(&mut self, weights: Option<Vec<u16>>) {
         self.set_node_weights_impl(weights);
@@ -260,16 +238,6 @@ impl LinkState {
     /// True when managing zero nodes.
     pub fn is_empty(&self) -> bool {
         self.backend().is_empty()
-    }
-
-    /// See [`RoutingBackend::set_workers`].
-    pub fn set_workers(&mut self, workers: usize) {
-        self.backend_mut().set_workers(workers);
-    }
-
-    /// See [`RoutingBackend::parallel_stats`].
-    pub fn parallel_stats(&self) -> ParStats {
-        self.backend().parallel_stats()
     }
 
     /// See [`RoutingBackend::set_node_weights`].

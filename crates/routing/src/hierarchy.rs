@@ -54,7 +54,6 @@
 use crate::bfs_repair::{repair_bfs_row, BfsRepairScratch};
 use crate::graph::{Adjacency, UNREACHABLE};
 use crate::linkstate::{row_affected, RoutingStats};
-use jtp_sim::par::{run_chunked, ParStats};
 use jtp_sim::{NodeId, SimDuration, SimTime};
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -361,8 +360,6 @@ pub struct HierarchicalBackend {
     stats: RoutingStats,
     hier: HierarchyStats,
     no_route: Cell<u64>,
-    workers: usize,
-    par: ParStats,
 }
 
 impl HierarchicalBackend {
@@ -373,14 +370,11 @@ impl HierarchicalBackend {
         let member_lists = initial_clusters(initial, spec);
         let mut stats = RoutingStats::default();
         let mut hier = HierarchyStats::default();
-        let mut par = ParStats::default();
         let snap = Rc::new(Self::build_snapshot(
             initial,
             member_lists,
-            1,
             &mut stats,
             &mut hier,
-            &mut par,
         ));
         let views = (0..n)
             .map(|_| HView {
@@ -396,22 +390,16 @@ impl HierarchicalBackend {
             stats,
             hier,
             no_route: Cell::new(0),
-            workers: 1,
-            par,
         }
     }
 
-    /// Full snapshot build from member lists: the k multi-source rows
-    /// fan out across `workers` chunks of clusters (each row is a pure
-    /// function of the adjacency, merged in cluster order — results are
-    /// byte-identical for every worker count).
+    /// Full snapshot build from member lists: one multi-source row, one
+    /// toward-row and one intra table per cluster.
     fn build_snapshot(
         adj: &Adjacency,
         member_lists: Vec<Vec<NodeId>>,
-        workers: usize,
         stats: &mut RoutingStats,
         hier: &mut HierarchyStats,
-        par: &mut ParStats,
     ) -> Snapshot {
         let n = adj.len();
         let k = member_lists.len();
@@ -423,24 +411,10 @@ impl HierarchicalBackend {
                 local_idx[m.index()] = li as u32;
             }
         }
-        let dc: Vec<Rc<Vec<u16>>> = if workers > 1 {
-            let chunks = run_chunked(k, workers, |_, range| {
-                range
-                    .map(|c| multi_source_bfs(adj, &member_lists[c]))
-                    .collect::<Vec<_>>()
-            });
-            par.record_chunks(&chunks);
-            chunks
-                .into_iter()
-                .flat_map(|(rows, _)| rows)
-                .map(Rc::new)
-                .collect()
-        } else {
-            member_lists
-                .iter()
-                .map(|m| Rc::new(multi_source_bfs(adj, m)))
-                .collect()
-        };
+        let dc: Vec<Rc<Vec<u16>>> = member_lists
+            .iter()
+            .map(|m| Rc::new(multi_source_bfs(adj, m)))
+            .collect();
         stats.bfs_run += k as u64;
         let toward = dc
             .iter()
@@ -497,61 +471,35 @@ impl HierarchicalBackend {
 
         // ---- 1. Screen + repair the k cluster distance rows (the same
         // exact criteria and affected-region passes as the flat table,
-        // on k rows instead of n). With workers > 1 the per-row work
-        // fans out across cluster chunks; workers return owned rows and
-        // the in-order merge below does all `Rc` sharing and statistics,
-        // so results are byte-identical for every worker count.
-        enum DcOutcome {
-            Skipped,
-            Clean,
-            Changed(Vec<u16>, u64),
-        }
-        let repair_one = |row: &[u16], scratch: &mut BfsRepairScratch| -> DcOutcome {
+        // on k rows instead of n).
+        let mut dc_changed = vec![false; snap.clusters.len()];
+        let mut scratch = BfsRepairScratch::new(n);
+        for (c, row_changed) in dc_changed.iter_mut().enumerate() {
+            let row = &snap.dc[c];
             if !row_affected(row, &changed, old_adj, ground_truth, false) {
-                return DcOutcome::Skipped;
+                self.stats.bfs_skipped += 1;
+                continue;
             }
-            let mut r = row.to_vec();
-            repair_bfs_row(old_adj, ground_truth, &removed, &added, &mut r, scratch);
+            self.stats.bfs_repaired += 1;
+            let mut r = (**row).clone();
+            repair_bfs_row(
+                old_adj,
+                ground_truth,
+                &removed,
+                &added,
+                &mut r,
+                &mut scratch,
+            );
             let mut moved = 0u64;
             scratch.drain_dirty(|v| {
                 if r[v] != row[v] {
                     moved += 1;
                 }
             });
-            if moved == 0 {
-                DcOutcome::Clean
-            } else {
-                DcOutcome::Changed(r, moved)
-            }
-        };
-        let k = snap.clusters.len();
-        let outcomes: Vec<DcOutcome> = if self.workers > 1 {
-            let old_rows: Vec<&[u16]> = snap.dc.iter().map(|r| r.as_slice()).collect();
-            let chunks = run_chunked(k, self.workers, |_, range| {
-                let mut scratch = BfsRepairScratch::new(n);
-                range
-                    .map(|c| repair_one(old_rows[c], &mut scratch))
-                    .collect::<Vec<_>>()
-            });
-            self.par.record_chunks(&chunks);
-            chunks.into_iter().flat_map(|(outs, _)| outs).collect()
-        } else {
-            let mut scratch = BfsRepairScratch::new(n);
-            (0..k)
-                .map(|c| repair_one(&snap.dc[c], &mut scratch))
-                .collect()
-        };
-        let mut dc_changed = vec![false; k];
-        for (c, out) in outcomes.into_iter().enumerate() {
-            match out {
-                DcOutcome::Skipped => self.stats.bfs_skipped += 1,
-                DcOutcome::Clean => self.stats.bfs_repaired += 1,
-                DcOutcome::Changed(r, moved) => {
-                    self.stats.bfs_repaired += 1;
-                    self.stats.dist_entries_changed += moved;
-                    snap.dc[c] = Rc::new(r);
-                    dc_changed[c] = true;
-                }
+            if moved > 0 {
+                self.stats.dist_entries_changed += moved;
+                snap.dc[c] = Rc::new(r);
+                *row_changed = true;
             }
         }
 
@@ -697,14 +645,6 @@ impl HierarchicalBackend {
 impl HierarchicalBackend {
     pub(crate) fn len_impl(&self) -> usize {
         self.views.len()
-    }
-
-    pub(crate) fn set_workers_impl(&mut self, workers: usize) {
-        self.workers = workers.max(1);
-    }
-
-    pub(crate) fn parallel_stats_impl(&self) -> ParStats {
-        self.par
     }
 
     pub(crate) fn set_node_weights_impl(&mut self, weights: Option<Vec<u16>>) {

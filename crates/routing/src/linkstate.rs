@@ -9,20 +9,7 @@
 //!   `Rc`, not `Arc`: an `ExactBackend` lives inside one single-threaded
 //!   `Network` (batch parallelism is per-replica, each with its own
 //!   network), so the share counts need no atomics — they sit on the
-//!   per-mobility-tick refresh path. The intra-run fan-outs below keep
-//!   this invariant: worker threads read plain `&[u16]` row views and
-//!   return owned data, and only the merging main thread touches `Rc`
-//!   counts;
-//! * with [`ExactBackend::set_workers`] > 1, the per-source recomputations
-//!   a flooded advertisement triggers — BFS row screens/repairs,
-//!   weighted-APSP repairs, next-hop row rebuilds — are fanned out
-//!   across scoped worker threads in contiguous source chunks and merged
-//!   in source order. Every per-source computation is a pure function of
-//!   the shared read-only inputs, so the merged tables, statistics and
-//!   routes are **byte-identical** for every worker count (pinned by
-//!   `parallel_workers_match_sequential_under_churn` and the netsim
-//!   engine-equivalence suite); the legacy comparison modes stay
-//!   sequential because they are the historical cost baseline;
+//!   per-mobility-tick refresh path;
 //! * the shared distance table is maintained **incrementally**: when the
 //!   ground truth changes, sources are screened by exact criteria on the
 //!   changed edges (an added edge `{u,v}` is a shortcut for source `s`
@@ -59,7 +46,6 @@
 use crate::bfs_repair::{repair_bfs_row, BfsRepairScratch};
 use crate::graph::{Adjacency, UNREACHABLE};
 use crate::wapsp::{WeightedApsp, UNREACHABLE_COST};
-use jtp_sim::par::{run_chunked, run_chunked_mut, ParStats};
 use jtp_sim::{NodeId, SimDuration, SimTime};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -154,17 +140,7 @@ fn build_hop_table_by_key<D: Copy + Ord>(
 ) -> Vec<u32> {
     let n = adj.len();
     let mut hops = vec![0u32; n * n];
-    let mut best = vec![unreachable; n];
-    for src in 0..n {
-        build_hop_row_by_key(
-            adj,
-            src,
-            unreachable,
-            &key,
-            &mut hops[src * n..(src + 1) * n],
-            &mut best,
-        );
-    }
+    rebuild_rows(&mut hops, adj, unreachable, &key, |_| true);
     hops
 }
 
@@ -224,42 +200,31 @@ fn derive_hop_entry<D: Copy + Ord>(
     enc
 }
 
-/// Rebuild the flagged rows of a flat next-hop table across `workers`
-/// chunks of sources (fork-join over [`run_chunked_mut`], one fan-out
-/// recorded in `par`). Each chunk owns its contiguous band of table rows
-/// and its own scratch `best` buffer; every rebuilt row goes through the
-/// same [`build_hop_row_by_key`] as the sequential loop, and `best` is
-/// refilled per row, so the table is byte-identical for every worker
-/// count — `workers == 1` runs inline on the caller's thread.
-fn rebuild_rows_chunked<D: Copy + Ord + Send + Sync>(
+/// Re-derive the flagged rows of a flat next-hop table in place. Every
+/// rebuilt row goes through the same [`build_hop_row_by_key`] as the
+/// full build, and `best` is refilled per row, so a rebuilt row is
+/// byte-identical to a from-scratch one.
+fn rebuild_rows<D: Copy + Ord>(
     hops: &mut [u32],
     adj: &Adjacency,
     unreachable: D,
-    key: &(impl Fn(NodeId, usize) -> D + Sync),
-    redo: impl Fn(usize) -> bool + Sync,
-    workers: usize,
-    par: &mut ParStats,
+    key: &impl Fn(NodeId, usize) -> D,
+    redo: impl Fn(usize) -> bool,
 ) {
     let n = adj.len();
     debug_assert_eq!(hops.len(), n * n);
-    let mut rows: Vec<&mut [u32]> = hops.chunks_mut(n).collect();
-    let chunks = run_chunked_mut(&mut rows, workers, |_, range, band| {
-        let mut best = vec![unreachable; n];
-        for (j, row) in band.iter_mut().enumerate() {
-            let src = range.start + j;
-            if redo(src) {
-                build_hop_row_by_key(adj, src, unreachable, key, row, &mut best);
-            }
+    let mut best = vec![unreachable; n];
+    for (src, row) in hops.chunks_mut(n).enumerate() {
+        if redo(src) {
+            build_hop_row_by_key(adj, src, unreachable, key, row, &mut best);
         }
-    });
-    par.record_chunks(&chunks);
+    }
 }
 
 /// The column-patch half of the hop-count incremental rebuild: per
 /// changed column, mark the union of the changed entries' neighbourhoods
 /// and re-derive exactly those entries. O(Σ deg) over the changed
-/// region, not O(E) per column. Runs on the caller's thread — the marked
-/// sets are tiny relative to the row rebuilds the fan-out covers.
+/// region, not O(E) per column.
 fn patch_hop_columns<D: Copy + Ord>(
     hops: &mut [u32],
     adj: &Adjacency,
@@ -300,37 +265,25 @@ fn patch_hop_columns<D: Copy + Ord>(
 /// Entry `(src, dst)` reads `dist[v][dst]` for `src`'s neighbours `v` —
 /// and BFS hop distances over an undirected graph are symmetric
 /// (`dist[v][dst] == dist[dst][v]`), so the entry can only change when
-/// `src`'s neighbour set did (those rows are rebuilt whole, fanned out
-/// across `workers` chunks), or some neighbour `v` of `src` has
+/// `src`'s neighbour set did (those rows are rebuilt whole), or some
+/// neighbour `v` of `src` has
 /// `dist[dst][v]` changed. `deltas` lists exactly the changed distance
 /// entries as `(row s, entry v)` pairs, grouped by ascending `s` — so
 /// for each changed column `dst = s` only the sources adjacent to a
 /// changed entry are re-derived, through the same single-entry logic as
 /// the full build. The result is byte-identical to [`build_hop_table`]
-/// for every worker count (pinned by `hop_table_matches_neighbour_scan`
-/// and the partial-vs-full test); the key reads plain `&[u16]` row views
-/// so worker threads never touch the `Rc` row shares.
+/// (pinned by `hop_table_matches_neighbour_scan` and the partial-vs-full
+/// test).
 fn rebuild_hop_table_columns(
     prev: &[u32],
     adj: &Adjacency,
     dist: &[DistRow],
     deltas: &[(u32, u32)],
     adj_touched: &[bool],
-    workers: usize,
-    par: &mut ParStats,
 ) -> Vec<u32> {
-    let views: Vec<&[u16]> = dist.iter().map(|r| r.as_slice()).collect();
-    let key = |v: NodeId, dst: usize| views[v.index()][dst];
+    let key = |v: NodeId, dst: usize| dist[v.index()][dst];
     let mut hops = prev.to_vec();
-    rebuild_rows_chunked(
-        &mut hops,
-        adj,
-        UNREACHABLE,
-        &key,
-        |s| adj_touched[s],
-        workers,
-        par,
-    );
+    rebuild_rows(&mut hops, adj, UNREACHABLE, &key, |s| adj_touched[s]);
     patch_hop_columns(&mut hops, adj, UNREACHABLE, &key, deltas, adj_touched);
     hops
 }
@@ -351,27 +304,10 @@ fn rebuild_weighted_hop_rows(
     wdist: &[Vec<u32>],
     weights: &[u16],
     redo: &[bool],
-    workers: usize,
-    par: &mut ParStats,
 ) -> Vec<u32> {
     let mut hops = prev.to_vec();
-    let key = |v: NodeId, dst: usize| {
-        let d = wdist[v.index()][dst];
-        if d == UNREACHABLE_COST {
-            UNREACHABLE_COST
-        } else {
-            d.saturating_add(weights[v.index()] as u32)
-        }
-    };
-    rebuild_rows_chunked(
-        &mut hops,
-        adj,
-        UNREACHABLE_COST,
-        &key,
-        |s| redo[s],
-        workers,
-        par,
-    );
+    let key = weighted_key(wdist, weights);
+    rebuild_rows(&mut hops, adj, UNREACHABLE_COST, &key, |s| redo[s]);
     hops
 }
 
@@ -403,24 +339,6 @@ fn build_hop_table(adj: &Adjacency, dist: &[DistRow], unreachable: u16) -> Vec<u
     build_hop_table_by_key(adj, unreachable, |v, dst| dist[v.index()][dst])
 }
 
-/// [`build_hop_table`] with the row loop fanned out across `workers`
-/// chunks — byte-identical output (same per-row build), used by the
-/// default flood path; the legacy comparison modes keep the sequential
-/// build, which is the cost baseline the benchmarks report.
-fn build_hop_table_on(
-    adj: &Adjacency,
-    dist: &[DistRow],
-    workers: usize,
-    par: &mut ParStats,
-) -> Vec<u32> {
-    let n = adj.len();
-    let views: Vec<&[u16]> = dist.iter().map(|r| r.as_slice()).collect();
-    let key = |v: NodeId, dst: usize| views[v.index()][dst];
-    let mut hops = vec![0u32; n * n];
-    rebuild_rows_chunked(&mut hops, adj, UNREACHABLE, &key, |_| true, workers, par);
-    hops
-}
-
 /// Weighted next-hop table: the key is the *full* forwarding cost
 /// `weights[v] + wdist[v][dst]` (entering `v` costs `weights[v]`, which
 /// varies per neighbour — unlike the hop-count build, where the uniform
@@ -428,51 +346,27 @@ fn build_hop_table_on(
 /// n² cost rows. With all weights equal to 1 every key is `1 + hops`,
 /// so the table is bit-identical to the hop-count build.
 fn build_hop_table_weighted(adj: &Adjacency, wdist: &[Vec<u32>], weights: &[u16]) -> Vec<u32> {
-    build_hop_table_by_key(adj, UNREACHABLE_COST, |v, dst| {
+    build_hop_table_by_key(adj, UNREACHABLE_COST, weighted_key(wdist, weights))
+}
+
+/// The weighted next-hop key: the cost `wdist[v][dst] + weights[v]` of
+/// reaching `dst` through neighbour `v` ([`UNREACHABLE_COST`] stays
+/// unreachable).
+fn weighted_key<'a>(
+    wdist: &'a [Vec<u32>],
+    weights: &'a [u16],
+) -> impl Fn(NodeId, usize) -> u32 + 'a {
+    move |v, dst| {
         let d = wdist[v.index()][dst];
         if d == UNREACHABLE_COST {
             UNREACHABLE_COST
         } else {
             d.saturating_add(weights[v.index()] as u32)
         }
-    })
+    }
 }
 
-/// [`build_hop_table_weighted`] with the row loop fanned out across
-/// `workers` chunks — byte-identical output; the wapsp rows are plain
-/// `Vec<u32>`, so worker threads read them directly.
-fn build_hop_table_weighted_on(
-    adj: &Adjacency,
-    wdist: &[Vec<u32>],
-    weights: &[u16],
-    workers: usize,
-    par: &mut ParStats,
-) -> Vec<u32> {
-    let n = adj.len();
-    let key = |v: NodeId, dst: usize| {
-        let d = wdist[v.index()][dst];
-        if d == UNREACHABLE_COST {
-            UNREACHABLE_COST
-        } else {
-            d.saturating_add(weights[v.index()] as u32)
-        }
-    };
-    let mut hops = vec![0u32; n * n];
-    rebuild_rows_chunked(
-        &mut hops,
-        adj,
-        UNREACHABLE_COST,
-        &key,
-        |_| true,
-        workers,
-        par,
-    );
-    hops
-}
-
-/// The affected-source criterion for one BFS row under an edge diff —
-/// shared verbatim by the sequential source loop and the parallel
-/// fan-out so the two can never disagree on which rows to repair.
+/// The affected-source criterion for one BFS row under an edge diff.
 ///
 /// An added edge `{u,v}` is a shortcut for the row's source iff the
 /// endpoints sat ≥ 2 levels apart (∞ on one side counts). A removed
@@ -511,23 +405,6 @@ pub(crate) fn row_affected(
             })
         }
     })
-}
-
-/// One source's outcome from the parallel BFS-repair fan-out. Workers
-/// return plain owned data; the main thread does every `Rc` share/clone
-/// during the in-order merge (distance rows stay `Rc`, not `Arc` — see
-/// the module docs).
-enum RowRepair {
-    /// The affected criterion cleared the row: shared as-is
-    /// (`bfs_skipped`).
-    Skipped,
-    /// Repaired, but every dirty write restored the original value: the
-    /// old row is shared (`bfs_repaired`, no deltas).
-    Clean,
-    /// Repaired with real changes: the new row plus the changed entry
-    /// ids in dirty-log drain order (`bfs_repaired`; the merge prefixes
-    /// each id with the source to extend the global delta list).
-    Changed(Vec<u16>, Vec<u32>),
 }
 
 /// Node-weighted single-source shortest paths: the cost of a path is the
@@ -593,14 +470,6 @@ pub struct ExactBackend {
     /// column/row-incremental next-hop update. Results are bit-identical
     /// either way; only the wall clock differs.
     full_table_rebuild: bool,
-    /// Worker threads for the flood-plane fan-outs (BFS row repairs,
-    /// weighted-APSP repairs, next-hop row rebuilds). Pure performance
-    /// knob: results are byte-identical for every value; 1 (the default)
-    /// runs fully inline with no thread spawns.
-    workers: usize,
-    /// Fan-out wall-clock accounting — perf diagnostics only, never part
-    /// of simulation results.
-    par: ParStats,
 }
 
 impl ExactBackend {
@@ -638,28 +507,7 @@ impl ExactBackend {
             node_weights: None,
             full_weighted_rebuild: false,
             full_table_rebuild: false,
-            workers: 1,
-            par: ParStats::default(),
         }
-    }
-
-    /// Set the worker-thread count for the flood-plane fan-outs. A pure
-    /// performance knob: routes, tables and statistics are byte-identical
-    /// for every value (`workers = 1`, the default, runs fully inline).
-    /// Values are clamped up to 1; the legacy comparison modes
-    /// ([`Self::set_full_table_rebuild`] /
-    /// [`Self::set_full_weighted_rebuild`]) always run sequentially —
-    /// they exist to reproduce the historical cost baseline.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.workers = workers.max(1);
-    }
-
-    /// Fan-out wall-clock accounting (fan-out count, total busy time,
-    /// critical-path time) across every flood-plane recomputation since
-    /// construction. Perf diagnostics only — never part of simulation
-    /// results, which must stay byte-identical across worker counts.
-    pub fn parallel_stats(&self) -> ParStats {
-        self.par
     }
 
     /// Select the legacy from-scratch weighted rebuild (true) instead of
@@ -741,12 +589,6 @@ impl ExactBackend {
         // pairs grouped by ascending row — the hop-table rebuild patches
         // only the entries adjacent to these.
         let mut deltas: Vec<(u32, u32)> = Vec::new();
-        // Fan-outs engage only on the default incremental path: the
-        // legacy comparison modes replicate the historical engine's cost
-        // and must stay sequential (they are the baseline the benchmarks
-        // report against). `pw` is the worker count every fan-out uses.
-        let par_on = self.workers > 1 && !self.full_table_rebuild && !self.full_weighted_rebuild;
-        let pw = if par_on { self.workers } else { 1 };
         let dist = if adj_current {
             Rc::clone(&self.cache.dist)
         } else {
@@ -772,112 +614,54 @@ impl ExactBackend {
             let old = &self.cache.adj;
             let old_dist = &self.cache.dist;
             let mut rows: Vec<DistRow> = Vec::with_capacity(n);
-            if par_on {
-                // Parallel flood plane: fan the per-source screen +
-                // affected-region repair out across worker chunks.
-                // Workers read plain `&[u16]` views of the old rows and
-                // return owned results (no `Rc` crosses a thread); the
-                // in-order merge below does all sharing and statistics,
-                // so rows, deltas and counters are byte-identical to the
-                // sequential loop in the `else` arm.
-                let old_rows: Vec<&[u16]> = old_dist.iter().map(|r| r.as_slice()).collect();
-                let chunks = run_chunked(n, self.workers, |_, range| {
-                    let mut scratch = BfsRepairScratch::new(n);
-                    let mut out = Vec::with_capacity(range.len());
-                    for s in range {
-                        let row = old_rows[s];
-                        if !row_affected(row, &changed, old, ground_truth, false) {
-                            out.push(RowRepair::Skipped);
-                            continue;
-                        }
-                        let mut r = row.to_vec();
-                        repair_bfs_row(old, ground_truth, &removed, &added, &mut r, &mut scratch);
-                        let mut moved: Vec<u32> = Vec::new();
+            for s in 0..n {
+                let row = &old_dist[s];
+                let affected =
+                    row_affected(row, &changed, old, ground_truth, self.full_table_rebuild);
+                if affected {
+                    if self.full_table_rebuild {
+                        // Legacy mode: a whole BFS per affected source.
+                        self.stats.bfs_run += 1;
+                        rows.push(Rc::new(ground_truth.bfs_distances(NodeId(s as u32))));
+                    } else {
+                        // Affected-region repair: increase + decrease
+                        // passes touch only the region the diff reaches.
+                        self.stats.bfs_repaired += 1;
+                        let scratch = scratch.as_mut().expect("repair mode has scratch");
+                        let mut r = (**row).clone();
+                        repair_bfs_row(old, ground_truth, &removed, &added, &mut r, scratch);
+                        // The affected criterion is conservative; an exact
+                        // compare over the repair's dirty log (some writes
+                        // restore the original value) keeps the next-hop
+                        // rebuild proportional to what actually moved,
+                        // keeps unmoved rows shared, and records the
+                        // changed entries the hop-table patch navigates
+                        // by. `deltas` stays grouped by row (the outer
+                        // loop ascends); within a row the order is
+                        // irrelevant — the patch marks a set and
+                        // re-derives each entry exactly.
+                        let before = deltas.len();
                         scratch.drain_dirty(|v| {
                             if r[v] != row[v] {
-                                moved.push(v as u32);
+                                deltas.push((s as u32, v as u32));
                             }
                         });
-                        out.push(if moved.is_empty() {
-                            RowRepair::Clean
+                        if deltas.len() == before {
+                            rows.push(Rc::clone(row));
                         } else {
-                            RowRepair::Changed(r, moved)
-                        });
-                    }
-                    out
-                });
-                self.par.record_chunks(&chunks);
-                let mut s = 0usize;
-                for (outs, _) in chunks {
-                    for out in outs {
-                        match out {
-                            RowRepair::Skipped => {
-                                self.stats.bfs_skipped += 1;
-                                rows.push(Rc::clone(&old_dist[s]));
-                            }
-                            RowRepair::Clean => {
-                                self.stats.bfs_repaired += 1;
-                                rows.push(Rc::clone(&old_dist[s]));
-                            }
-                            RowRepair::Changed(r, moved) => {
-                                self.stats.bfs_repaired += 1;
-                                deltas.extend(moved.into_iter().map(|v| (s as u32, v)));
-                                rows.push(Rc::new(r));
-                            }
+                            rows.push(Rc::new(r));
                         }
-                        s += 1;
                     }
-                }
-            } else {
-                for s in 0..n {
-                    let row = &old_dist[s];
-                    let affected =
-                        row_affected(row, &changed, old, ground_truth, self.full_table_rebuild);
-                    if affected {
-                        if self.full_table_rebuild {
-                            // Legacy mode: a whole BFS per affected source.
-                            self.stats.bfs_run += 1;
-                            rows.push(Rc::new(ground_truth.bfs_distances(NodeId(s as u32))));
-                        } else {
-                            // Affected-region repair: increase + decrease
-                            // passes touch only the region the diff reaches.
-                            self.stats.bfs_repaired += 1;
-                            let scratch = scratch.as_mut().expect("repair mode has scratch");
-                            let mut r = (**row).clone();
-                            repair_bfs_row(old, ground_truth, &removed, &added, &mut r, scratch);
-                            // The affected criterion is conservative; an exact
-                            // compare over the repair's dirty log (some writes
-                            // restore the original value) keeps the next-hop
-                            // rebuild proportional to what actually moved,
-                            // keeps unmoved rows shared, and records the
-                            // changed entries the hop-table patch navigates
-                            // by. `deltas` stays grouped by row (the outer
-                            // loop ascends); within a row the order is
-                            // irrelevant — the patch marks a set and
-                            // re-derives each entry exactly.
-                            let before = deltas.len();
-                            scratch.drain_dirty(|v| {
-                                if r[v] != row[v] {
-                                    deltas.push((s as u32, v as u32));
-                                }
-                            });
-                            if deltas.len() == before {
-                                rows.push(Rc::clone(row));
-                            } else {
-                                rows.push(Rc::new(r));
-                            }
-                        }
-                    } else if self.full_table_rebuild {
-                        // Historical behaviour: unaffected rows were deep-
-                        // copied into the fresh table.
-                        self.stats.bfs_skipped += 1;
-                        rows.push(Rc::new((**row).clone()));
-                    } else {
-                        // Unaffected rows are shared, not copied: one
-                        // refcount bump.
-                        self.stats.bfs_skipped += 1;
-                        rows.push(Rc::clone(row));
-                    }
+                } else if self.full_table_rebuild {
+                    // Historical behaviour: unaffected rows were deep-
+                    // copied into the fresh table.
+                    self.stats.bfs_skipped += 1;
+                    rows.push(Rc::new((**row).clone()));
+                } else {
+                    // Unaffected rows are shared, not copied: one
+                    // refcount bump.
+                    self.stats.bfs_skipped += 1;
+                    rows.push(Rc::clone(row));
                 }
             }
             Rc::new(rows)
@@ -905,12 +689,7 @@ impl ExactBackend {
                             &dist,
                             &deltas,
                             &adj_touched,
-                            pw,
-                            &mut self.par,
                         )
-                    } else if par_on {
-                        self.stats.hop_full_builds += 1;
-                        build_hop_table_on(ground_truth, &dist, self.workers, &mut self.par)
                     } else {
                         self.stats.hop_full_builds += 1;
                         build_hop_table(ground_truth, &dist, UNREACHABLE)
@@ -934,24 +713,14 @@ impl ExactBackend {
                     Some(mut ap) => {
                         self.stats.weighted_repairs += n64;
                         let ec_before = ap.stats().entries_changed;
-                        let ch = ap.update_on(
-                            &self.cache.adj,
-                            ground_truth,
-                            &changed,
-                            w,
-                            pw,
-                            &mut self.par,
-                        );
+                        let ch = ap.update(&self.cache.adj, ground_truth, &changed, w);
                         self.stats.dist_entries_changed += ap.stats().entries_changed - ec_before;
                         (ap, Some(ch))
                     }
                     // First advertisement since weights were (re)enabled.
                     None => {
                         self.stats.weighted_full_builds += n64;
-                        (
-                            WeightedApsp::build_on(ground_truth, w, pw, &mut self.par),
-                            None,
-                        )
+                        (WeightedApsp::build(ground_truth, w), None)
                     }
                 };
                 let hops = match (&wrow_changed, &self.cache.weights) {
@@ -964,18 +733,6 @@ impl ExactBackend {
                             ap.rows(),
                             w,
                             &redo,
-                            pw,
-                            &mut self.par,
-                        )
-                    }
-                    _ if par_on => {
-                        self.stats.hop_full_builds += 1;
-                        build_hop_table_weighted_on(
-                            ground_truth,
-                            ap.rows(),
-                            w,
-                            self.workers,
-                            &mut self.par,
                         )
                     }
                     _ => {
@@ -1304,68 +1061,6 @@ mod tests {
         assert!(sl.bfs_run > 0 && sl.bfs_repaired == 0);
         assert!(sf.hop_incremental_builds > 0);
         assert_eq!(sl.hop_incremental_builds, 0);
-    }
-
-    /// The flood-plane fan-out must be byte-identical to the sequential
-    /// loop for every worker count — including workers > n — through
-    /// interleaved topology churn and weight re-advertisements covering
-    /// all four parallelised sites (BFS screen/repair, hop-count column
-    /// rebuild, wapsp repair, weighted row rebuild).
-    #[test]
-    fn parallel_workers_match_sequential_under_churn() {
-        use jtp_sim::SimRng;
-        let n = 13;
-        for workers in [2usize, 3, 8, 64] {
-            let mut rng = SimRng::derive(58, "linkstate-par-churn");
-            let mut truth = Adjacency::linear(n);
-            truth.set_edge(NodeId(0), NodeId(8), true);
-            let mut seq = ExactBackend::new(&truth, SimDuration::from_secs(1));
-            let mut par = ExactBackend::new(&truth, SimDuration::from_secs(1));
-            par.set_workers(workers);
-            let mut weights: Option<Vec<u16>> = None;
-            for step in 0..50 {
-                match step % 5 {
-                    // Edge churn under both routing modes.
-                    0 | 2 | 3 => {
-                        for _ in 0..1 + rng.below(3) {
-                            let a = rng.below(n);
-                            let b = rng.below(n);
-                            if a != b {
-                                let has = truth.has_edge(NodeId(a as u32), NodeId(b as u32));
-                                truth.set_edge(NodeId(a as u32), NodeId(b as u32), !has);
-                            }
-                        }
-                    }
-                    // Energy re-advertisement (enables weighted mode).
-                    1 => {
-                        let w: Vec<u16> = (0..n).map(|_| 1 + rng.below(16) as u16).collect();
-                        weights = Some(w);
-                    }
-                    // Back to hop-count mode.
-                    _ => weights = None,
-                }
-                let now = SimTime::from_secs_f64(2.0 * (step as f64 + 1.0));
-                for r in [&mut seq, &mut par] {
-                    r.set_node_weights(weights.clone());
-                    r.force_refresh_all(now, &truth);
-                }
-                assert_eq!(
-                    *seq.cache.dist, *par.cache.dist,
-                    "workers={workers} step {step}: distance tables diverged"
-                );
-                assert_eq!(
-                    *seq.cache.hops, *par.cache.hops,
-                    "workers={workers} step {step}: hop tables diverged"
-                );
-            }
-            // Counters are part of the byte-equivalence contract too.
-            let (a, b) = (seq.stats(), par.stats());
-            assert_eq!(format!("{a:?}"), format!("{b:?}"), "workers={workers}");
-            let ws = par.parallel_stats();
-            assert!(ws.fanouts > 0, "workers={workers}: fan-outs must engage");
-            assert!(ws.busy_ns >= ws.critical_ns);
-            assert_eq!(seq.parallel_stats().fanouts, 0, "workers=1 spawns nothing");
-        }
     }
 
     #[test]

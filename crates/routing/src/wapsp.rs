@@ -33,7 +33,6 @@
 //! along it; the source itself is free. Weights must be ≥ 1.
 
 use crate::graph::Adjacency;
-use jtp_sim::par::{run_chunked, run_chunked_mut, ParStats};
 use jtp_sim::NodeId;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -96,7 +95,7 @@ fn dijkstra_into(adj: &Adjacency, weights: &[u16], src: usize, row: &mut Vec<u32
     }
 }
 
-/// Reusable scratch for one repair worker: the affected/visited marks,
+/// Reusable scratch for the per-source repairs: the affected/visited marks,
 /// the touched log that un-marks them, and the candidate heap. Every
 /// field is restored to its clean state at the end of each source's
 /// repair, so a fresh scratch and a reused one produce identical rows.
@@ -125,9 +124,8 @@ impl RepairScratch {
     }
 }
 
-/// The shared (read-only) inputs of one [`WeightedApsp::update_on`]
-/// call, bundled so the per-source repair is a free function usable from
-/// both the sequential loop and the worker fan-out.
+/// The shared (read-only) inputs of one [`WeightedApsp::update`] call,
+/// bundled so the per-source repair is a free function.
 struct RepairInputs<'a> {
     old_adj: &'a Adjacency,
     new_adj: &'a Adjacency,
@@ -144,8 +142,7 @@ struct RepairInputs<'a> {
 /// Repair one source row from `(old_adj, old weights)` to
 /// `(new_adj, new_weights)` — the two exact phases described in the
 /// module docs. Pure in `(inputs, s, row)`: no shared mutable state, no
-/// RNG, so fanning sources out across threads is byte-identical to the
-/// sequential loop. Returns `(entries changed, nodes re-settled)` —
+/// RNG. Returns `(entries changed, nodes re-settled)` —
 /// the entry count is exact: every write is journaled with the entry's
 /// original value and compared once the repair settles, so writes that
 /// restore the old value do not count.
@@ -340,44 +337,23 @@ impl WeightedApsp {
     /// count (a zero weight would also break the cost model; the
     /// link-state layer rejects those before they reach here).
     pub fn build(adj: &Adjacency, weights: &[u16]) -> Self {
-        Self::build_on(adj, weights, 1, &mut ParStats::default())
-    }
-
-    /// [`WeightedApsp::build`] with the per-source Dijkstras fanned out
-    /// across `workers` chunks (`workers = 1` runs inline). Each source
-    /// row is an independent computation, so the merged table and the
-    /// work counters are byte-identical for every worker count; the
-    /// fan-out's wall-clock accounting lands in `par`.
-    ///
-    /// # Panics
-    /// Panics when the weight vector's length disagrees with the node
-    /// count.
-    pub fn build_on(adj: &Adjacency, weights: &[u16], workers: usize, par: &mut ParStats) -> Self {
         let n = adj.len();
         assert_eq!(weights.len(), n, "one weight per node");
-        let chunks = run_chunked(n, workers, |_, range| {
-            range
-                .map(|s| {
-                    let mut row = Vec::new();
-                    dijkstra_into(adj, weights, s, &mut row);
-                    row
-                })
-                .collect::<Vec<_>>()
-        });
-        par.record_chunks(&chunks);
-        let mut rows = Vec::with_capacity(n);
-        let mut stats = WapspStats::default();
-        for (band, _) in chunks {
-            for row in band {
-                stats.full_builds += 1;
-                rows.push(row);
-            }
-        }
+        let rows: Vec<Vec<u32>> = (0..n)
+            .map(|s| {
+                let mut row = Vec::new();
+                dijkstra_into(adj, weights, s, &mut row);
+                row
+            })
+            .collect();
         WeightedApsp {
             n,
             rows,
             weights: weights.to_vec(),
-            stats,
+            stats: WapspStats {
+                full_builds: n as u64,
+                ..WapspStats::default()
+            },
         }
     }
 
@@ -413,35 +389,6 @@ impl WeightedApsp {
         new_adj: &Adjacency,
         edge_diff: &[(NodeId, NodeId, bool)],
         new_weights: &[u16],
-    ) -> Vec<bool> {
-        self.update_on(
-            old_adj,
-            new_adj,
-            edge_diff,
-            new_weights,
-            1,
-            &mut ParStats::default(),
-        )
-    }
-
-    /// [`WeightedApsp::update`] with the per-source repairs fanned out
-    /// across `workers` chunks (`workers = 1` runs inline). Each chunk
-    /// repairs a disjoint band of rows in place with its own scratch;
-    /// the per-source repair is pure and scratch state is restored
-    /// between sources, so rows, changed flags and work counters are
-    /// byte-identical for every worker count. The fan-out's wall-clock
-    /// accounting lands in `par`.
-    ///
-    /// # Panics
-    /// Panics when node counts disagree with the table.
-    pub fn update_on(
-        &mut self,
-        old_adj: &Adjacency,
-        new_adj: &Adjacency,
-        edge_diff: &[(NodeId, NodeId, bool)],
-        new_weights: &[u16],
-        workers: usize,
-        par: &mut ParStats,
     ) -> Vec<bool> {
         assert_eq!(old_adj.len(), self.n, "old adjacency size mismatch");
         assert_eq!(new_adj.len(), self.n, "new adjacency size mismatch");
@@ -482,25 +429,13 @@ impl WeightedApsp {
             removed: &removed,
             added: &added,
         };
-        let n = self.n;
-        let bands = run_chunked_mut(&mut self.rows, workers, |_, range, band| {
-            let mut scratch = RepairScratch::new(n);
-            let mut out = Vec::with_capacity(band.len());
-            for (j, row) in band.iter_mut().enumerate() {
-                out.push(repair_row(&inp, range.start + j, row, &mut scratch));
-            }
-            out
-        });
-        par.record_chunks(&bands);
-        let mut s = 0usize;
-        for (band, _) in bands {
-            for (entries, resettled) in band {
-                self.stats.repaired_sources += 1;
-                self.stats.resettled += resettled;
-                self.stats.entries_changed += entries;
-                changed[s] = entries > 0;
-                s += 1;
-            }
+        let mut scratch = RepairScratch::new(self.n);
+        for (s, row) in self.rows.iter_mut().enumerate() {
+            let (entries, resettled) = repair_row(&inp, s, row, &mut scratch);
+            self.stats.repaired_sources += 1;
+            self.stats.resettled += resettled;
+            self.stats.entries_changed += entries;
+            changed[s] = entries > 0;
         }
         changed
     }

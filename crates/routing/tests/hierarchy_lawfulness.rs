@@ -12,9 +12,7 @@
 //! * **grid convexity** — on grid blocks (geodesically convex), intra-
 //!   cluster walks are exactly as long as the exact distance;
 //! * **splits** — killing a cluster's cut node splits it into connected
-//!   components and every route stays lawful;
-//! * **worker determinism** — the repair fan-out is byte-identical for
-//!   every worker count.
+//!   components and every route stays lawful.
 
 use jtp_routing::{Adjacency, BackendSelect, ClusterSpec, LinkState, UNREACHABLE};
 use jtp_sim::{NodeId, SimDuration, SimRng, SimTime};
@@ -269,45 +267,6 @@ fn cut_node_death_splits_cluster_and_stays_lawful() {
         if d != 0 {
             assert!(walk_hops(&hier, NodeId(0), NodeId(d)).is_some());
         }
-    }
-}
-
-#[test]
-fn repair_fanout_is_byte_identical_across_workers() {
-    let n = 20;
-    for workers in [2usize, 4, 7] {
-        let mut rng = SimRng::derive(99, "hier-workers");
-        let mut truth = mesh(n, 5, 12);
-        let mk = || {
-            LinkState::with_backend(
-                &truth,
-                SimDuration::from_secs(1),
-                &BackendSelect::Hierarchical(ClusterSpec::Auto { target: 4 }),
-            )
-        };
-        let mut seq = mk();
-        let mut par = mk();
-        par.set_workers(workers);
-        for step in 0..40 {
-            for _ in 0..1 + rng.below(3) {
-                let u = rng.below(n);
-                let v = rng.below(n);
-                if u != v {
-                    let has = truth.has_edge(NodeId(u as u32), NodeId(v as u32));
-                    truth.set_edge(NodeId(u as u32), NodeId(v as u32), !has);
-                }
-            }
-            refresh(step as f64 + 1.0, &truth, &mut [&mut seq, &mut par]);
-            assert_eq!(
-                all_next_hops(&seq),
-                all_next_hops(&par),
-                "workers={workers} step {step}: routes diverged"
-            );
-        }
-        let (a, b) = (seq.stats(), par.stats());
-        assert_eq!(format!("{a:?}"), format!("{b:?}"), "workers={workers}");
-        assert!(par.parallel_stats().fanouts > 0, "fan-out must engage");
-        assert_eq!(seq.parallel_stats().fanouts, 0);
     }
 }
 

@@ -20,11 +20,8 @@
 //! deliberate departure from async-runtime-based designs (tokio et al.): a
 //! reproduction harness must be exactly repeatable, and there is no real I/O
 //! to overlap. The style follows smoltcp's event-driven, poll-based idiom.
-//!
-//! The one sanctioned form of intra-run parallelism lives in [`par`]:
-//! deterministic fork-join fan-outs whose merged output is byte-identical to
-//! the sequential loop they replace, used by the routing layer's flood-plane
-//! recomputation. The event plane itself stays single-threaded.
+//! Parallelism lives one level up, across independent replicas (one
+//! simulation per seed), never within a run.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +29,6 @@
 pub mod engine;
 pub mod event;
 pub mod ident;
-pub mod par;
 pub mod rng;
 pub mod stats;
 pub mod time;
