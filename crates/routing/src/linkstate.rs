@@ -266,8 +266,8 @@ fn patch_hop_columns<D: Copy + Ord>(
 /// and BFS hop distances over an undirected graph are symmetric
 /// (`dist[v][dst] == dist[dst][v]`), so the entry can only change when
 /// `src`'s neighbour set did (those rows are rebuilt whole), or some
-/// neighbour `v` of `src` has
-/// `dist[dst][v]` changed. `deltas` lists exactly the changed distance
+/// neighbour `v` of `src` has `dist[dst][v]` changed. `deltas` lists
+/// exactly the changed distance
 /// entries as `(row s, entry v)` pairs, grouped by ascending `s` — so
 /// for each changed column `dst = s` only the sources adjacent to a
 /// changed entry are re-derived, through the same single-entry logic as
