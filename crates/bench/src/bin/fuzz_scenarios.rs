@@ -1,9 +1,9 @@
 //! Differential scenario fuzzer driver.
 //!
 //! Sweeps a window of generated adversarial scenarios through
-//! `jtp_netsim::fuzz`'s oracle stack (naive vs skip engine, legacy vs
-//! incremental rebuilds, subscriber stack vs plain digest, parallel vs
-//! sequential batches, metamorphic invariants, conservation checks).
+//! `jtp_netsim::fuzz`'s oracle stack (naive vs skip engine, subscriber
+//! stack vs plain digest, parallel vs sequential batches, metamorphic
+//! invariants, conservation checks).
 //! Panics inside a case are caught and
 //! reported as failures with a self-contained repro, so one bad case
 //! never hides the rest of the sweep; genuine divergences are greedily

@@ -36,7 +36,7 @@ impl Args {
     /// Parse from `std::env::args`. `--section` is an error here — use
     /// [`Args::parse_with_sections`] in binaries that define sections.
     pub fn parse() -> Args {
-        Self::parse_inner(None)
+        Self::parse_or_exit(None)
     }
 
     /// Parse from `std::env::args`, accepting `--section <name>`
@@ -45,34 +45,50 @@ impl Args {
     /// CI job asking for a section that was renamed or dropped must
     /// turn red, not upload an artifact missing the data it gates on.
     pub fn parse_with_sections(known: &[&str]) -> Args {
-        Self::parse_inner(Some(known))
+        Self::parse_or_exit(Some(known))
     }
 
-    fn parse_inner(known: Option<&[&str]>) -> Args {
+    fn parse_or_exit(known: Option<&[&str]>) -> Args {
+        Self::parse_inner(std::env::args().skip(1), known).unwrap_or_else(|(code, msg)| {
+            eprintln!("{msg}");
+            std::process::exit(code)
+        })
+    }
+
+    /// Parse `args` (without the program name). `Err((code, message))`
+    /// means print the message and exit with the code: 0 for `--help`,
+    /// 2 for a usage error.
+    fn parse_inner(
+        mut it: impl Iterator<Item = String>,
+        known: Option<&[&str]>,
+    ) -> Result<Args, (i32, String)> {
         let mut out = Args::default();
-        let mut it = std::env::args().skip(1);
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--quick" => out.quick = true,
-                "--json" => out.json = it.next().map(PathBuf::from),
+                "--json" => match it.next() {
+                    Some(p) => out.json = Some(PathBuf::from(p)),
+                    None => return Err((2, "--json requires a path".into())),
+                },
                 "--section" => {
                     let Some(known) = known else {
-                        eprintln!("this binary has no sections; --section is not supported");
-                        std::process::exit(2);
+                        return Err((
+                            2,
+                            "this binary has no sections; --section is not supported".into(),
+                        ));
                     };
                     match it.next() {
                         Some(s) if known.iter().any(|k| *k == s) => out.sections.push(s),
                         Some(s) => {
-                            eprintln!(
-                                "unknown --section {s:?}; this binary has: {}",
-                                known.join(", ")
-                            );
-                            std::process::exit(2);
+                            return Err((
+                                2,
+                                format!(
+                                    "unknown --section {s:?}; this binary has: {}",
+                                    known.join(", ")
+                                ),
+                            ))
                         }
-                        None => {
-                            eprintln!("--section requires a name");
-                            std::process::exit(2);
-                        }
+                        None => return Err((2, "--section requires a name".into())),
                     }
                 }
                 "--help" | "-h" => {
@@ -81,16 +97,15 @@ impl Args {
                     } else {
                         ""
                     };
-                    eprintln!("usage: <bin> [--quick] [--json <path>]{section}");
-                    std::process::exit(0);
+                    return Err((
+                        0,
+                        format!("usage: <bin> [--quick] [--json <path>]{section}"),
+                    ));
                 }
-                other => {
-                    eprintln!("unknown argument {other}");
-                    std::process::exit(2);
-                }
+                other => return Err((2, format!("unknown argument {other}"))),
             }
         }
-        out
+        Ok(out)
     }
 
     /// Pick between full and quick values.
@@ -311,6 +326,32 @@ mod tests {
         let got = std::fs::read_to_string(&path).unwrap();
         assert_eq!(got, "{\n  \"alpha\": 7,\n  \"beta\": 8\n}");
         std::fs::remove_file(&path).unwrap();
+    }
+
+    fn parse(args: &[&str], known: Option<&[&str]>) -> Result<Args, (i32, String)> {
+        Args::parse_inner(args.iter().map(|a| a.to_string()), known)
+    }
+
+    #[test]
+    fn json_flag_requires_a_path() {
+        let args = parse(&["--quick", "--json", "out.json"], None).unwrap();
+        assert!(args.quick);
+        assert_eq!(args.json, Some(PathBuf::from("out.json")));
+        assert_eq!(
+            parse(&["--quick", "--json"], None).unwrap_err(),
+            (2, "--json requires a path".to_string())
+        );
+    }
+
+    #[test]
+    fn section_flag_is_checked_against_known_sections() {
+        assert_eq!(parse(&["--section", "a"], None).unwrap_err().0, 2);
+        assert_eq!(parse(&["--section", "b"], Some(&["a"])).unwrap_err().0, 2);
+        assert_eq!(parse(&["--section"], Some(&["a"])).unwrap_err().0, 2);
+        let args = parse(&["--section", "a"], Some(&["a"])).unwrap();
+        assert_eq!(args.sections, vec!["a".to_string()]);
+        assert_eq!(parse(&["--help"], None).unwrap_err().0, 0);
+        assert_eq!(parse(&["--bogus"], None).unwrap_err().0, 2);
     }
 
     #[test]

@@ -441,20 +441,6 @@ pub struct ExperimentConfig {
     /// O(1). Disable only to cross-check the engine against the naive
     /// per-slot loop.
     pub idle_slot_skipping: bool,
-    /// Keep at most one pending sender wakeup per flow (an earlier request
-    /// cancels a later one). The pre-overhaul engine spawned a fresh
-    /// wakeup chain per ACK arrival that never died — O(acks²) no-op
-    /// timer events per flow. Disable only to benchmark against that
-    /// behaviour.
-    pub wakeup_coalescing: bool,
-    /// Maintain the effective ground truth and the energy-weighted
-    /// routing table **incrementally** per dynamics event / energy
-    /// re-advertisement (a node failure touches its incident edges, a
-    /// weight change repairs only the affected shortest-path regions).
-    /// Disable to run the legacy from-scratch rebuilds — O(n²) truth +
-    /// O(n³) weighted Dijkstra per change — for benchmarking; results
-    /// are byte-identical in both modes.
-    pub incremental_rebuilds: bool,
     /// Which routing backend maintains per-node views (see
     /// [`RoutingBackendKind`]). `Exact` (the default) reproduces every
     /// historical trace byte-for-byte; `Hierarchical` trades bounded
@@ -489,8 +475,6 @@ impl ExperimentConfig {
             routing_refresh: SimDuration::from_secs(5),
             tcp_ack_flush: SimDuration::from_millis(500),
             idle_slot_skipping: true,
-            wakeup_coalescing: true,
-            incremental_rebuilds: true,
             routing_backend: RoutingBackendKind::Exact,
         }
     }

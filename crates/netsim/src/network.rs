@@ -51,8 +51,7 @@ use crate::config::{
 use crate::metrics::{FlowMetrics, Metrics};
 use crate::payload::{Payload, TransportPacket};
 use crate::topology::{
-    adjacency_from_positions, adjacency_from_positions_brute, field_for, geometry_edge_diff,
-    try_place_nodes, EdgeScratch,
+    adjacency_from_positions, field_for, geometry_edge_diff, try_place_nodes, EdgeScratch,
 };
 use crate::trace::{TraceConfig, TraceLog, TraceSubscriber};
 use crate::truth::MaskedTruth;
@@ -249,10 +248,6 @@ pub struct Network<S: Subscriber = NoopSubscriber> {
     // ---- substrate dynamics state ----
     /// The scheduled dynamics timeline (from the config).
     dynamics: Vec<DynamicsEvent>,
-    /// Maintain the effective truth (and the weighted routing table)
-    /// incrementally per dynamics event; false = the legacy from-scratch
-    /// rebuilds, kept runnable for benchmarks and equivalence tests.
-    incremental_rebuilds: bool,
     /// Frames lost to node crashes (flushed queues + sends from a dead
     /// node), distinct from congestion/ARQ/no-route drops.
     churn_drops: u64,
@@ -294,8 +289,6 @@ pub struct Network<S: Subscriber = NoopSubscriber> {
     // ---- idle-slot-skipping engine state ----
     /// Whether slots owned by idle nodes are skipped (config).
     skip_idle: bool,
-    /// Whether sender wakeups are deduplicated per flow (config).
-    coalesce_wakeups: bool,
     /// `backlog[i]` ⇔ node i's MAC queue is non-empty.
     backlog: Vec<bool>,
     /// Count of `true` entries in `backlog`.
@@ -365,9 +358,7 @@ impl<S: Subscriber> Network<S> {
                 BackendSelect::Hierarchical(cluster_spec_for(&cfg.topology))
             }
         };
-        let mut routing = LinkState::with_backend(truth.adjacency(), cfg.routing_refresh, &select);
-        routing.set_full_weighted_rebuild(!cfg.incremental_rebuilds);
-        routing.set_full_table_rebuild(!cfg.incremental_rebuilds);
+        let routing = LinkState::with_backend(truth.adjacency(), cfg.routing_refresh, &select);
         let schedule = TdmaSchedule::new(n as u32, cfg.slot, cfg.seed);
         let capacity = schedule.per_node_capacity_pps();
         let field = field_for(&cfg.topology);
@@ -488,7 +479,6 @@ impl<S: Subscriber> Network<S> {
         let end = SimTime::ZERO + cfg.duration;
         let mut queue = EventQueue::new();
         let skip_idle = cfg.idle_slot_skipping;
-        let coalesce_wakeups = cfg.wakeup_coalescing;
         let mut pending_slot = None;
         if !skip_idle {
             // Naive engine: one event per slot from t=0 on.
@@ -526,7 +516,6 @@ impl<S: Subscriber> Network<S> {
             pending_slot,
             completed_flows: 0,
             skip_idle,
-            coalesce_wakeups,
             nodes,
             positions,
             flows,
@@ -546,7 +535,6 @@ impl<S: Subscriber> Network<S> {
             sub,
             no_route_drops: 0,
             dynamics: cfg.dynamics.clone(),
-            incremental_rebuilds: cfg.incremental_rebuilds,
             churn_drops: 0,
             battery_cfg: cfg.battery,
             batteries: match &cfg.battery {
@@ -898,7 +886,6 @@ impl<S: Subscriber> Network<S> {
         }
         if any {
             self.backlog_dirty = true;
-            self.after_substrate_change();
             self.flood_views(now, FloodCause::BatteryDeath, true);
             self.note_first_partition(now);
         }
@@ -1061,21 +1048,6 @@ impl<S: Subscriber> Network<S> {
     // Substrate dynamics
     // ------------------------------------------------------------------
 
-    /// Finish a substrate mutation. The incremental engine already
-    /// maintained the effective truth edge-by-edge inside [`MaskedTruth`];
-    /// the legacy comparison mode instead re-derives geometry and masks
-    /// from scratch here — the O(n²) brute-force pair scan plus whole-
-    /// truth rebuild the incremental path replaced (kept runnable for
-    /// benchmarks; both produce the identical adjacency).
-    fn after_substrate_change(&mut self) {
-        if !self.incremental_rebuilds {
-            self.truth.set_geometry(adjacency_from_positions_brute(
-                &self.positions,
-                &self.pathloss,
-            ));
-        }
-    }
-
     /// Apply one scheduled dynamics action, then advertise the new truth
     /// to every routing view at once (the flooded link-state update a
     /// failure detection triggers).
@@ -1134,7 +1106,6 @@ impl<S: Subscriber> Network<S> {
             let ev = DynamicsApplied { index: idx };
             self.sub.on_dynamics(now, &ev);
         }
-        self.after_substrate_change();
         self.flood_views(now, FloodCause::Dynamics, true);
         self.note_first_partition(now);
     }
@@ -1751,13 +1722,6 @@ impl<S: Subscriber> Network<S> {
     /// its handler recomputes the next need when it fires — and a pending
     /// later one is cancelled in favour of the earlier time.
     fn request_wakeup(&mut self, fi: usize, at: SimTime, q: &mut EventQueue<Event>) {
-        if !self.coalesce_wakeups {
-            // Legacy behaviour (pre-overhaul): unconditionally spawn a new
-            // wakeup chain. Kept for before/after benchmarking.
-            let fid = self.flows[fi].id;
-            q.schedule_at(at, Event::SenderWakeup(fid));
-            return;
-        }
         if let Some((id, t)) = self.flows[fi].wakeup {
             if t <= at {
                 return;
@@ -1907,29 +1871,18 @@ impl<S: Subscriber> Network<S> {
             }
         }
         let t0 = span_start::<S>();
-        let changed_edges = if self.incremental_rebuilds {
-            // Spatial-grid neighbour discovery (O(n·k)) into a sorted
-            // in-range edge list, merged against the standing geometry:
-            // only the links that actually appeared or vanished this
-            // tick are patched and re-masked — no per-tick graph
-            // construction — and the same diff-shaped change is what the
-            // routing cache repairs from.
-            let edges = self
-                .edge_scratch
-                .edges_from_positions(&self.positions, &self.pathloss);
-            let diff = geometry_edge_diff(self.truth.geometry(), edges);
-            self.truth.apply_geometry_diff(&diff);
-            diff.len() as u32
-        } else {
-            // Legacy comparison path: brute-force all-pairs scan plus a
-            // whole-truth remask — byte-identical results, O(n²) cost.
-            // No diff exists here, so the tick event reports 0 changes.
-            self.truth.set_geometry(adjacency_from_positions_brute(
-                &self.positions,
-                &self.pathloss,
-            ));
-            0
-        };
+        // Spatial-grid neighbour discovery (O(n·k)) into a sorted
+        // in-range edge list, merged against the standing geometry: only
+        // the links that actually appeared or vanished this tick are
+        // patched and re-masked — no per-tick graph construction — and
+        // the same diff-shaped change is what the routing cache repairs
+        // from.
+        let edges = self
+            .edge_scratch
+            .edges_from_positions(&self.positions, &self.pathloss);
+        let diff = geometry_edge_diff(self.truth.geometry(), edges);
+        self.truth.apply_geometry_diff(&diff);
+        let changed_edges = diff.len() as u32;
         if let Some(t0) = t0 {
             self.sub
                 .on_subsystem_time(Subsystem::GeometryDiff, t0.elapsed().as_nanos() as u64);

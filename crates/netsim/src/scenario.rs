@@ -1127,9 +1127,8 @@ impl Scenario {
             // so workloads are sized in tens of packets; what these
             // entries exercise is the *engine* — incremental truth
             // rebuilds, incremental weighted APSP and bounded battery
-            // prediction keep per-event cost flat where the from-scratch
-            // paths collapsed past 16 nodes (see BENCH_engine.json's
-            // "scale" section). ----
+            // prediction keep per-event cost flat where from-scratch
+            // rebuilds collapse past 16 nodes. ----
             Scenario::new(
                 "grid100-churn-cross",
                 TopologyKind::Grid {
@@ -1227,10 +1226,9 @@ impl Scenario {
             // tentpole — spatial-grid neighbour discovery, diffed
             // geometry application and the affected-region BFS /
             // column-incremental next-hop repair keep the per-tick cost
-            // proportional to the links that actually flipped (see
-            // BENCH_engine.json's "mobility" section); the legacy
-            // brute-force path stays byte-identical via
-            // `incremental_rebuilds = false`. ----
+            // proportional to the links that actually flipped; each
+            // layer is pinned per step against its reference oracle
+            // (brute geometry, scratch truth, fresh routing tables). ----
             Scenario::new(
                 "grid100-waypoint-cbr",
                 TopologyKind::Grid {
@@ -1445,7 +1443,8 @@ impl Scenario {
     /// the historical golden digests never move. Every entry selects the
     /// hierarchical routing backend: at this scale the exact backend's
     /// flat n×n tables are the O(n²) wall the backend exists to break
-    /// (`engine_bench --section xl` prices both side by side). The
+    /// (the `xl-static` ledger workload times it; `xl_scenarios` pins
+    /// the state footprint). The
     /// family composes the three stressors the paper's machinery must
     /// absorb at city scale: churn floods (cluster-scoped repair),
     /// mobility (per-tick geometry diffs into cluster splits), and

@@ -3,7 +3,7 @@
 //! Geometric adjacency is derived through a [`SpatialGrid`] (cell size =
 //! radio range): candidate pairs come from same-or-adjacent cells and the
 //! **exact same float predicate** (`pathloss.in_range(distance)`) the
-//! historical all-pairs scan used decides membership — so the grid path
+//! reference all-pairs scan uses decides membership — so the grid path
 //! is bit-identical to [`adjacency_from_positions_brute`] (pinned by the
 //! boundary tests and the `spatial_grid_matches_brute_force` proptest)
 //! while costing O(n·k) per mobility tick instead of O(n²). Never switch
@@ -259,9 +259,8 @@ pub fn geometry_edge_diff(
     out
 }
 
-/// The historical all-pairs scan, kept runnable as the oracle the grid
-/// path is pinned against (and as the legacy geometry pass selected by
-/// `ExperimentConfig::incremental_rebuilds = false`).
+/// The all-pairs scan: the reference oracle the grid path is pinned
+/// against.
 pub fn adjacency_from_positions_brute(positions: &[Point], pathloss: &PathLoss) -> Adjacency {
     let n = positions.len();
     let mut adj = Adjacency::new(n);

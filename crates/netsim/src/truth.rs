@@ -177,10 +177,8 @@ impl MaskedTruth {
     }
 
     /// Replace the geometric adjacency and re-derive the effective truth
-    /// from scratch — the legacy mobility-tick path
-    /// (`ExperimentConfig::incremental_rebuilds = false`), kept runnable
-    /// as the oracle [`MaskedTruth::apply_geometry_diff`] is pinned
-    /// against.
+    /// from scratch — the reference oracle
+    /// [`MaskedTruth::apply_geometry_diff`] is pinned against.
     pub fn set_geometry(&mut self, geo: Adjacency) {
         assert_eq!(geo.len(), self.len(), "geometry node count mismatch");
         self.geo = geo;

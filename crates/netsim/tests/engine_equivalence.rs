@@ -115,72 +115,6 @@ fn mobile_run_identical() {
     assert_identical(&fast, &naive, "mobile");
 }
 
-/// The diffed mobility path (spatial-grid neighbour discovery + geometry
-/// edge-diff + affected-region BFS repair + column-incremental next-hop
-/// rebuild) must be byte-identical to the legacy from-scratch path
-/// (brute-force all-pairs scan + whole-truth rebuild + full BFS rows +
-/// full table builds) — on a mobile run composed with churn so both the
-/// per-tick and the flooded-refresh shapes are exercised.
-#[test]
-fn mobile_incremental_rebuilds_identical_to_scratch() {
-    use jtp_netsim::{DynamicsAction, DynamicsEvent};
-    let mut cfg = ExperimentConfig::random(14)
-        .transport(TransportKind::Jtp)
-        .duration_s(500.0)
-        .seed(647)
-        .mobile(2.0)
-        .bulk_flow(50, 5.0, 0.0)
-        .dynamic(DynamicsEvent::at_s(
-            60.0,
-            DynamicsAction::NodeDown(NodeId(5)),
-        ))
-        .dynamic(DynamicsEvent::at_s(
-            140.0,
-            DynamicsAction::NodeUp(NodeId(5)),
-        ));
-    let fast = run_experiment(&cfg);
-    cfg.incremental_rebuilds = false;
-    let scratch = run_experiment(&cfg);
-    assert_identical(&fast, &scratch, "mobile incremental vs scratch");
-    assert!(fast.delivered_packets > 0);
-}
-
-/// Same pin at mobile-scale-family size: a 100-node grid where every
-/// node moves, with batteries and energy re-advertisements layered on —
-/// the full composition the tentpole exists for. (Skip engine in both
-/// modes; the naive engine's mobile equivalence is covered above and at
-/// scale by `scale_grid_run_identical`.)
-#[test]
-fn mobile_scale_incremental_rebuilds_identical_to_scratch() {
-    use jtp_phys::BatteryConfig;
-    let mut cfg = ExperimentConfig::grid(10, 10)
-        .transport(TransportKind::Jtp)
-        .duration_s(300.0)
-        .seed(648)
-        .mobile(1.0)
-        .flow(FlowSpec {
-            src: NodeId(0),
-            dst: NodeId(22),
-            start: SimDuration::from_secs(5),
-            packets: u32::MAX / 2,
-            loss_tolerance: 1.0,
-            initial_rate_pps: None,
-        });
-    cfg.battery = Some(BatteryConfig {
-        capacity_j: 0.28,
-        ..BatteryConfig::javelen_small()
-    });
-    cfg.energy_routing = Some(jtp_netsim::EnergyRoutingConfig::default());
-    let fast = run_experiment(&cfg);
-    cfg.incremental_rebuilds = false;
-    let scratch = run_experiment(&cfg);
-    assert_identical(&fast, &scratch, "mobile 100-node incremental vs scratch");
-    assert!(
-        fast.battery_deaths > 0,
-        "deaths must flood refreshes under mobility"
-    );
-}
-
 /// Mobility composed with batteries across the skip/naive engines: the
 /// diffed geometry path must not disturb the idle-slot replay or the
 /// death-slot aiming.
@@ -245,43 +179,6 @@ fn empty_workload_identical() {
         .seed(1);
     let (fast, naive) = run_both(cfg);
     assert_identical(&fast, &naive, "empty workload");
-}
-
-/// Idle-slot skipping must stay byte-identical under the legacy
-/// (uncoalesced) wakeup-chain mode too — the two optimisations are
-/// orthogonal.
-#[test]
-fn skipping_identical_with_legacy_wakeup_chains() {
-    let mut cfg = ExperimentConfig::linear(6)
-        .transport(TransportKind::Jtp)
-        .duration_s(400.0)
-        .seed(21)
-        .bulk_flow(60, 3.0, 0.0);
-    cfg.wakeup_coalescing = false;
-    let (fast, naive) = run_both(cfg);
-    assert_identical(&fast, &naive, "legacy wakeup chains");
-}
-
-/// Wakeup coalescing keeps one pending wakeup per flow; the event count
-/// collapses but delivery results stay plausible (coalescing changes
-/// handler *timing*, so metrics are not expected to be byte-identical —
-/// this pins the intended effect instead).
-#[test]
-fn coalescing_delivers_same_transfer() {
-    let base = ExperimentConfig::linear(5)
-        .transport(TransportKind::Jtp)
-        .duration_s(600.0)
-        .seed(13)
-        .bulk_flow(50, 2.0, 0.0);
-    let mut on = base.clone();
-    on.wakeup_coalescing = true;
-    let mut off = base.clone();
-    off.wakeup_coalescing = false;
-    let m_on = run_experiment(&on);
-    let m_off = run_experiment(&off);
-    assert_eq!(m_on.delivered_packets, 50);
-    assert_eq!(m_off.delivered_packets, 50);
-    assert!(m_on.flows[0].completed && m_off.flows[0].completed);
 }
 
 /// Substrate dynamics — node churn, a partition window and a link flap,
@@ -483,68 +380,6 @@ fn churn_plus_battery_run_identical() {
     assert_identical(&fast, &naive, "churn + area failure + battery");
     assert!(fast.battery_deaths > 0);
     assert!(fast.churn_drops + fast.no_route_drops + fast.arq_drops > 0);
-}
-
-/// The incremental rebuild engine (masked-truth edits per dynamics
-/// event, weighted-APSP repair per energy re-advertisement) must be
-/// byte-identical to the legacy from-scratch rebuilds — on a workload
-/// that composes churn, an area failure, battery death floods and
-/// periodic weight re-advertisements, so every repair path is exercised.
-#[test]
-fn incremental_rebuilds_identical_to_scratch_rebuilds() {
-    use jtp_netsim::{DynamicsAction, DynamicsEvent};
-    use jtp_phys::BatteryConfig;
-    let mut cfg = ExperimentConfig::grid(6, 6)
-        .transport(TransportKind::Jtp)
-        .duration_s(700.0)
-        .seed(645)
-        .flow(FlowSpec {
-            src: NodeId(0),
-            dst: NodeId(35),
-            start: SimDuration::from_secs(5),
-            packets: u32::MAX / 2,
-            loss_tolerance: 1.0,
-            initial_rate_pps: None,
-        })
-        .dynamic(DynamicsEvent::at_s(
-            40.0,
-            DynamicsAction::NodeDown(NodeId(14)),
-        ))
-        .dynamic(DynamicsEvent::at_s(
-            120.0,
-            DynamicsAction::NodeUp(NodeId(14)),
-        ))
-        .dynamic(DynamicsEvent::at_s(
-            160.0,
-            DynamicsAction::PartitionStart((0..18).map(NodeId).collect()),
-        ))
-        .dynamic(DynamicsEvent::at_s(220.0, DynamicsAction::PartitionEnd))
-        .dynamic(DynamicsEvent::at_s(
-            300.0,
-            DynamicsAction::AreaFail {
-                x_m: 240.0,
-                y_m: 240.0,
-                radius_m: 100.0,
-            },
-        ));
-    cfg.battery = Some(BatteryConfig {
-        capacity_j: 0.5,
-        ..BatteryConfig::javelen_small()
-    });
-    cfg.energy_routing = Some(jtp_netsim::EnergyRoutingConfig::default());
-    let fast = run_experiment(&cfg);
-    cfg.incremental_rebuilds = false;
-    let scratch = run_experiment(&cfg);
-    assert_identical(&fast, &scratch, "incremental vs from-scratch rebuilds");
-    assert!(
-        fast.battery_deaths > 0,
-        "deaths must exercise the flood path"
-    );
-    assert!(
-        fast.churn_drops + fast.no_route_drops > 0,
-        "dynamics must bite for the equivalence to mean anything"
-    );
-    assert!(fast.delivered_packets > 0);
 }
 
 /// Idle-slot skipping stays byte-identical at scale-family size: a

@@ -1,6 +1,7 @@
 //! The 1000+-node `xl` scenario family: lowering validity, hierarchical
-//! route lawfulness with measured stretch on the real placements, and a
-//! wall-clock-bounded end-to-end smoke run (release-only; CI's
+//! route lawfulness with measured stretch on the real placements, the
+//! pinned routing-state footprint, and a wall-clock-bounded end-to-end
+//! smoke run (release-only; CI's
 //! `xl-smoke` job executes it with `--ignored`).
 //!
 //! Byte-identity is pinned elsewhere: `golden_traces.rs` holds the
@@ -119,6 +120,49 @@ fn xl_placements_route_lawfully_with_bounded_stretch() {
             sc.name,
             stats.clusters,
             sum_stretch as f64 / sampled as f64
+        );
+    }
+}
+
+/// The hierarchical backend's routing-state footprint on every xl
+/// entry's actual placement: Σ|C|² intra-cluster entries plus k·n
+/// summary entries, against the exact backend's n² flat tables. The
+/// committed values pin the partition; a ≥ 10× compression is what the
+/// backend exists for.
+#[test]
+fn xl_state_footprint_is_pinned_and_compressed() {
+    // (scenario, clusters, hierarchical table entries)
+    let expected = [
+        ("xl-grid-churn", 36, 70_720),
+        ("xl-clustered-mobile", 40, 65_000),
+        ("xl-grid-heavy", 36, 70_720),
+    ];
+    let cat = Scenario::xl_catalog();
+    assert_eq!(cat.len(), expected.len(), "pin every xl entry");
+    for sc in cat {
+        let &(_, clusters, entries) = expected
+            .iter()
+            .find(|(name, ..)| *name == sc.name)
+            .unwrap_or_else(|| panic!("{} has no pinned footprint", sc.name));
+        let cfg = sc.try_build(TransportKind::Jtp).expect("xl entry lowers");
+        let pts = place_nodes(&cfg.topology, &cfg.pathloss, cfg.seed);
+        let adj = adjacency_from_positions(&pts, &cfg.pathloss);
+        let n = adj.len() as u64;
+        let select = BackendSelect::Hierarchical(cluster_spec_for(&cfg.topology));
+        let hier = LinkState::with_backend(&adj, cfg.routing_refresh, &select);
+        let back = hier.hierarchical().expect("hierarchical selected");
+        let k = hier.hierarchy_stats().expect("hierarchy stats").clusters;
+        let mut sizes = vec![0u64; k as usize];
+        for v in 0..n {
+            sizes[back.cluster_id(NodeId(v as u32)) as usize] += 1;
+        }
+        let footprint: u64 = sizes.iter().map(|s| s * s).sum::<u64>() + k * n;
+        assert_eq!((k, footprint), (clusters, entries), "{}", sc.name);
+        assert!(
+            footprint * 10 <= n * n,
+            "{}: {footprint} entries is under 10x compression against {}",
+            sc.name,
+            n * n
         );
     }
 }

@@ -45,15 +45,6 @@ pub trait RoutingBackend {
     /// unrepresentable).
     fn set_node_weights(&mut self, weights: Option<Vec<u16>>);
 
-    /// Legacy comparison mode (whole-row BFS + from-scratch table
-    /// builds). Exact-only — the historical cost baseline; a no-op on
-    /// backends without a legacy mode.
-    fn set_full_table_rebuild(&mut self, _on: bool) {}
-
-    /// Legacy comparison mode for weighted routing. Exact-only; a no-op
-    /// elsewhere.
-    fn set_full_weighted_rebuild(&mut self, _on: bool) {}
-
     /// Refresh every view older than the refresh interval against
     /// `ground_truth` (the periodic advertisement path).
     fn refresh_due_views(&mut self, now: SimTime, ground_truth: &Adjacency);
@@ -90,12 +81,6 @@ impl RoutingBackend for ExactBackend {
     }
     fn set_node_weights(&mut self, weights: Option<Vec<u16>>) {
         self.set_node_weights(weights);
-    }
-    fn set_full_table_rebuild(&mut self, on: bool) {
-        self.set_full_table_rebuild(on);
-    }
-    fn set_full_weighted_rebuild(&mut self, on: bool) {
-        self.set_full_weighted_rebuild(on);
     }
     fn refresh_due_views(&mut self, now: SimTime, ground_truth: &Adjacency) {
         self.refresh_due_views(now, ground_truth);
@@ -243,16 +228,6 @@ impl LinkState {
     /// See [`RoutingBackend::set_node_weights`].
     pub fn set_node_weights(&mut self, weights: Option<Vec<u16>>) {
         self.backend_mut().set_node_weights(weights);
-    }
-
-    /// See [`RoutingBackend::set_full_table_rebuild`].
-    pub fn set_full_table_rebuild(&mut self, on: bool) {
-        self.backend_mut().set_full_table_rebuild(on);
-    }
-
-    /// See [`RoutingBackend::set_full_weighted_rebuild`].
-    pub fn set_full_weighted_rebuild(&mut self, on: bool) {
-        self.backend_mut().set_full_weighted_rebuild(on);
     }
 
     /// See [`RoutingBackend::refresh_due_views`].

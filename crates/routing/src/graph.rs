@@ -125,8 +125,8 @@ impl Adjacency {
     /// Computed by merging the two sorted neighbour lists per node —
     /// O(n + E_old + E_new), not the O(n²) pair scan — so diffing two
     /// mobility-tick geometries costs what actually changed, not the
-    /// whole matrix. Output order matches the historical pair scan
-    /// exactly (ascending `a`, then ascending `b`).
+    /// whole matrix. Output is ordered by ascending `a`, then ascending
+    /// `b`, like an all-pairs scan.
     pub fn diff_edges(&self, newer: &Adjacency) -> Vec<(NodeId, NodeId, bool)> {
         assert_eq!(self.n, newer.n, "diff over different node counts");
         let mut out = Vec::new();
@@ -160,25 +160,6 @@ impl Adjacency {
                         w += 1;
                     }
                     (None, None) => unreachable!("loop condition"),
-                }
-            }
-        }
-        out
-    }
-
-    /// The historical all-pairs diff: an O(n²) `has_edge` scan over every
-    /// pair. Output identical to [`Adjacency::diff_edges`]; kept runnable
-    /// so the legacy comparison modes reproduce the pre-merge-diff cost
-    /// structure they are benchmarked as.
-    pub fn diff_edges_scan(&self, newer: &Adjacency) -> Vec<(NodeId, NodeId, bool)> {
-        assert_eq!(self.n, newer.n, "diff over different node counts");
-        let mut out = Vec::new();
-        for i in 0..self.n as u32 {
-            for j in (i + 1)..self.n as u32 {
-                let (a, b) = (NodeId(i), NodeId(j));
-                let now = newer.has_edge(a, b);
-                if self.has_edge(a, b) != now {
-                    out.push((a, b, now));
                 }
             }
         }
@@ -307,8 +288,27 @@ mod tests {
         assert!(new.diff_edges(&new).is_empty());
     }
 
-    /// The merge-based diff must reproduce the historical pair scan —
-    /// same set, same `(a, b)` order — on random edge flips.
+    impl Adjacency {
+        /// The reference all-pairs diff: an O(n²) `has_edge` scan over
+        /// every pair, in ascending `(a, b)` order.
+        fn diff_edges_scan(&self, newer: &Adjacency) -> Vec<(NodeId, NodeId, bool)> {
+            assert_eq!(self.n, newer.n, "diff over different node counts");
+            let mut out = Vec::new();
+            for i in 0..self.n as u32 {
+                for j in (i + 1)..self.n as u32 {
+                    let (a, b) = (NodeId(i), NodeId(j));
+                    let now = newer.has_edge(a, b);
+                    if self.has_edge(a, b) != now {
+                        out.push((a, b, now));
+                    }
+                }
+            }
+            out
+        }
+    }
+
+    /// The merge-based diff must reproduce the pair scan — same set, same
+    /// `(a, b)` order — on random edge flips.
     #[test]
     fn diff_edges_matches_pair_scan_oracle() {
         use jtp_sim::SimRng;

@@ -476,7 +476,7 @@ impl HierarchicalBackend {
         let mut scratch = BfsRepairScratch::new(n);
         for (c, row_changed) in dc_changed.iter_mut().enumerate() {
             let row = &snap.dc[c];
-            if !row_affected(row, &changed, old_adj, ground_truth, false) {
+            if !row_affected(row, &changed, old_adj, ground_truth) {
                 self.stats.bfs_skipped += 1;
                 continue;
             }

@@ -25,10 +25,10 @@
 //! costs are unique values — so the repaired rows are **bit-identical**
 //! to a from-scratch rebuild (pinned by tests and by the netsim
 //! whole-run equivalence suite), and the flat next-hop table built from
-//! them is byte-for-byte the table the legacy rebuild produced. The cost
-//! per change is proportional to the affected region instead of n³.
+//! them is byte-for-byte the table a from-scratch rebuild produces. The
+//! cost per change is proportional to the affected region instead of n³.
 //!
-//! Cost model (matches the legacy selection Dijkstra exactly): the cost
+//! Cost model (matches the reference selection Dijkstra exactly): the cost
 //! of a path is the sum of `weights[v]` over every node `v` *entered*
 //! along it; the source itself is free. Weights must be ≥ 1.
 
@@ -73,7 +73,7 @@ pub struct WeightedApsp {
 }
 
 /// Single-source node-weighted Dijkstra into a caller-provided row
-/// (binary heap; O(m log n) instead of the legacy O(n²) selection).
+/// (binary heap; O(m log n) instead of an O(n²) selection).
 fn dijkstra_into(adj: &Adjacency, weights: &[u16], src: usize, row: &mut Vec<u32>) {
     let n = adj.len();
     row.clear();
@@ -446,8 +446,8 @@ mod tests {
     use super::*;
     use jtp_sim::SimRng;
 
-    /// Reference: the legacy O(n²) selection Dijkstra (the code path the
-    /// incremental table replaced), kept as the oracle.
+    /// Reference oracle: the O(n²) selection Dijkstra (the code path the
+    /// incremental table replaced).
     fn selection_dijkstra(adj: &Adjacency, weights: &[u16], src: usize) -> Vec<u32> {
         let n = adj.len();
         let mut dist = vec![UNREACHABLE_COST; n];

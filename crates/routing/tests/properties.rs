@@ -115,6 +115,80 @@ proptest! {
         }
     }
 
+    /// The incremental exact backend under random edge flips interleaved
+    /// with weight re-advertisements (hop-count `None` and random `Some`
+    /// vectors): after every flooded refresh it agrees with a fresh
+    /// backend built from scratch on the same truth and weights — no
+    /// repair code runs in the fresh one — on all-pairs `next_hop`,
+    /// `remaining_hops` and `converged_distance`.
+    #[test]
+    fn incremental_exact_matches_fresh_build_under_churn_and_adverts(
+        n in 3usize..14,
+        seed in any::<u64>(),
+        extra in 0usize..10,
+        steps in 4usize..24,
+    ) {
+        let mut adj = random_connected(n, seed, extra);
+        let ival = SimDuration::from_secs(5);
+        let mut live = LinkState::new(&adj, ival);
+        let mut weights: Option<Vec<u16>> = None;
+        let mut rng = SimRng::derive(seed, "proptest-exact-incremental");
+        for step in 0..steps {
+            if rng.below(3) == 0 {
+                weights = if rng.below(4) == 0 {
+                    None
+                } else {
+                    Some((0..n).map(|_| 1 + rng.below(16) as u16).collect())
+                };
+            } else {
+                // Flip 1–3 random edges; disconnection is in scope.
+                for _ in 0..1 + rng.below(3) {
+                    let u = rng.below(n);
+                    let v = rng.below(n);
+                    if u != v {
+                        let (u, v) = (NodeId(u as u32), NodeId(v as u32));
+                        adj.set_edge(u, v, !adj.has_edge(u, v));
+                    }
+                }
+            }
+            let now = SimTime::from_secs_f64(step as f64 + 1.0);
+            live.set_node_weights(weights.clone());
+            live.force_refresh_all(now, &adj);
+            let mut fresh = LinkState::new(&adj, ival);
+            fresh.set_node_weights(weights.clone());
+            fresh.force_refresh_all(now, &adj);
+            for s in 0..n as u32 {
+                for d in 0..n as u32 {
+                    let (src, dst) = (NodeId(s), NodeId(d));
+                    prop_assert_eq!(
+                        live.next_hop(src, dst),
+                        fresh.next_hop(src, dst),
+                        "step {}: next_hop {}->{}",
+                        step,
+                        s,
+                        d
+                    );
+                    prop_assert_eq!(
+                        live.remaining_hops(src, dst),
+                        fresh.remaining_hops(src, dst),
+                        "step {}: remaining_hops {}->{}",
+                        step,
+                        s,
+                        d
+                    );
+                    prop_assert_eq!(
+                        live.converged_distance(src, dst),
+                        fresh.converged_distance(src, dst),
+                        "step {}: converged_distance {}->{}",
+                        step,
+                        s,
+                        d
+                    );
+                }
+            }
+        }
+    }
+
     /// The hierarchical backend on random graphs under random edge churn
     /// (which may disconnect the graph): against the exact backend as
     /// oracle, every walk is loop-free, delivers exactly when exact has
