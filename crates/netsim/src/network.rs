@@ -37,12 +37,14 @@
 //!   receive), and energy-aware routing periodically floods quantised
 //!   residual fractions as per-node forwarding weights.
 //!
-//! Hot-path notes: per-link Gilbert-Elliott fading processes live in a
-//! flat `Vec` indexed by a dense triangular pair index (no per-frame
-//! hashing), and slot events are scheduled in event class 0 so a slot
-//! boundary always precedes same-instant timers regardless of *when* the
-//! slot event was (re)scheduled — the invariant the skipping engine's
-//! equivalence proof rests on.
+//! Hot-path notes: per-link Gilbert-Elliott fading processes live in
+//! per-node rows keyed by the higher endpoint (no per-frame hashing, and
+//! storage for the links that carried traffic, not all n(n−1)/2 pairs),
+//! the earliest predicted battery death is the root of a min-tree over
+//! the per-node predictions, and slot events are scheduled in event
+//! class 0 so a slot boundary always precedes same-instant timers
+//! regardless of *when* the slot event was (re)scheduled — the invariant
+//! the skipping engine's equivalence proof rests on.
 
 use crate::config::{
     ConfigError, DynamicsAction, DynamicsEvent, EnergyRoutingConfig, ExperimentConfig,
@@ -144,6 +146,48 @@ const SLOT_CLASS: u8 = 0;
 /// float-safety margin).
 const PREDICT_EXACT_WINDOW: u64 = 32;
 
+/// The minimum of n optional values, kept as a flat binary tree: leaves
+/// at `tree[leaves..leaves + n]` (`None` and unused leaves stored as
+/// `u64::MAX`), each inner node the min of its two children, the root at
+/// `tree[1]`. An update is O(log n) array writes with no allocation —
+/// cheap enough to run on every battery charge, which re-predicts a
+/// death slot.
+struct MinTree {
+    tree: Vec<u64>,
+    leaves: usize,
+}
+
+impl MinTree {
+    /// n values, all `None`.
+    fn new(n: usize) -> Self {
+        let leaves = n.next_power_of_two();
+        MinTree {
+            tree: vec![u64::MAX; 2 * leaves],
+            leaves,
+        }
+    }
+
+    /// Set value `i` and repair its ancestors, stopping at the first one
+    /// whose minimum is unchanged (every one above it is then unchanged).
+    fn set(&mut self, i: usize, value: Option<u64>) {
+        let mut k = self.leaves + i;
+        self.tree[k] = value.unwrap_or(u64::MAX);
+        while k > 1 {
+            k /= 2;
+            let m = self.tree[2 * k].min(self.tree[2 * k + 1]);
+            if self.tree[k] == m {
+                break;
+            }
+            self.tree[k] = m;
+        }
+    }
+
+    /// The smallest `Some` value.
+    fn min(&self) -> Option<u64> {
+        Some(self.tree[1]).filter(|&m| m != u64::MAX)
+    }
+}
+
 /// Simulation events.
 #[derive(Clone, Copy, Debug)]
 pub enum Event {
@@ -224,10 +268,13 @@ pub struct Network<S: Subscriber = NoopSubscriber> {
     /// substrate state (churn, blackouts, partitions, battery deaths),
     /// maintained incrementally per dynamics event.
     truth: MaskedTruth,
-    /// Per-undirected-link fading processes, indexed by [`Network::pair_index`].
-    /// Lazily initialised so RNG substream consumption matches link first-use
-    /// order exactly (the former `HashMap` behaviour).
-    channels: Vec<Option<GilbertElliott>>,
+    /// Per-undirected-link fading processes: row `lo` holds
+    /// `(hi, process)` for every link `{lo, hi}` (`lo < hi`) that has
+    /// carried an attempt, in first-use order. A process is created on
+    /// its link's first attempt from a substream keyed by the pair, so
+    /// storage is O(live links) rather than O(n²) and no substream
+    /// depends on when — or whether — any other link was used.
+    channels: Vec<Vec<(u32, GilbertElliott)>>,
     attempt_rng: SimRng,
     /// Reused neighbour-discovery buffers for mobility ticks (spatial
     /// grid CSR arrays + packed candidate and edge lists): zero
@@ -266,8 +313,12 @@ pub struct Network<S: Subscriber = NoopSubscriber> {
     /// analytic lower bound on it. Slot events are aimed at these: an
     /// aimed slot that isn't the crossing fires harmlessly and re-aims,
     /// so endogenous death still fires at the exact instant the naive
-    /// per-slot loop would detect it.
+    /// per-slot loop would detect it. Written only through
+    /// [`Network::set_death_slot`], which mirrors it into `death_min`.
     death_slot: Vec<Option<u64>>,
+    /// `death_slot` as a min-tree: its root is the earliest predicted
+    /// death, read by each slot re-aim without a scan over all n nodes.
+    death_min: MinTree,
     /// Nodes whose batteries crossed zero in the current event, in drain
     /// order; processed (once each) at the event's timestamp.
     pending_deaths: Vec<NodeId>,
@@ -522,7 +573,7 @@ impl<S: Subscriber> Network<S> {
             schedule,
             routing,
             truth,
-            channels: vec![None; n * (n.saturating_sub(1)) / 2],
+            channels: vec![Vec::new(); n],
             attempt_rng: SimRng::derive(cfg.seed, "channel-attempts"),
             edge_scratch: EdgeScratch::new(),
             pathloss: cfg.pathloss,
@@ -543,6 +594,7 @@ impl<S: Subscriber> Network<S> {
             },
             battery_dead: vec![false; n],
             death_slot: vec![None; n],
+            death_min: MinTree::new(n),
             pending_deaths: Vec::new(),
             deaths: Vec::new(),
             first_partition: None,
@@ -557,7 +609,7 @@ impl<S: Subscriber> Network<S> {
             // draw deaths from the start — an empty workload must still
             // fire every death the naive per-slot loop would detect.
             for i in 0..n {
-                net.death_slot[i] = net.predict_death_slot(i);
+                net.set_death_slot(i, net.predict_death_slot(i));
             }
             net.backlog_dirty = true;
             net.sync_slot_event(SimTime::ZERO, &mut queue);
@@ -674,7 +726,12 @@ impl<S: Subscriber> Network<S> {
         };
         // Earliest predicted baseline-draw death: its slot must *fire* so
         // the death materialises at the same instant as in the naive loop.
-        let death = self.death_slot.iter().filter_map(|&s| s).min();
+        let death = self.death_min.min();
+        debug_assert_eq!(
+            death,
+            self.death_slot.iter().filter_map(|&s| s).min(),
+            "death index out of step with death_slot"
+        );
         let desired = match (busy, death) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -848,9 +905,15 @@ impl<S: Subscriber> Network<S> {
         }
         let predicted = self.predict_death_slot(i);
         if predicted != self.death_slot[i] {
-            self.death_slot[i] = predicted;
+            self.set_death_slot(i, predicted);
             self.backlog_dirty = true;
         }
+    }
+
+    /// Set node `i`'s predicted death slot, keeping `death_min` in step.
+    fn set_death_slot(&mut self, i: usize, slot: Option<u64>) {
+        self.death_min.set(i, slot);
+        self.death_slot[i] = slot;
     }
 
     /// Materialise battery deaths recorded during the current event, in
@@ -868,7 +931,7 @@ impl<S: Subscriber> Network<S> {
                 continue;
             }
             self.battery_dead[i] = true;
-            self.death_slot[i] = None;
+            self.set_death_slot(i, None);
             self.deaths.push((now, v));
             if S::ENABLED {
                 let ev = BatteryDeath {
@@ -1371,15 +1434,6 @@ impl<S: Subscriber> Network<S> {
         }
     }
 
-    /// Dense index of the undirected pair `{a, b}` into the flat channel
-    /// table (upper-triangular, row-major).
-    fn pair_index(&self, lo: u32, hi: u32) -> usize {
-        let n = self.nodes.len();
-        let (lo, hi) = (lo as usize, hi as usize);
-        debug_assert!(lo < hi && hi < n);
-        lo * n - lo * (lo + 1) / 2 + (hi - lo - 1)
-    }
-
     /// Sample the channel for one transmission attempt.
     fn sample_channel(&mut self, from: NodeId, to: NodeId, now: SimTime) -> bool {
         // Substrate dynamics short-circuit the channel without touching
@@ -1411,12 +1465,18 @@ impl<S: Subscriber> Network<S> {
         }
         let baseline = self.pathloss.loss_at(d);
         // Fading is shared per undirected link (symmetric channel).
-        let idx = self.pair_index(lo, hi);
         let n = self.nodes.len() as u64;
-        let (cfg, seed) = (self.gilbert_cfg, self.seed);
-        let ge = self.channels[idx]
-            .get_or_insert_with(|| GilbertElliott::new(cfg, seed, lo as u64 * n + hi as u64));
-        let loss = ge.loss_prob(now, baseline);
+        let row = &mut self.channels[lo as usize];
+        let k = match row.iter().position(|&(h, _)| h == hi) {
+            Some(k) => k,
+            None => {
+                let ge =
+                    GilbertElliott::new(self.gilbert_cfg, self.seed, lo as u64 * n + hi as u64);
+                row.push((hi, ge));
+                row.len() - 1
+            }
+        };
+        let loss = row[k].1.loss_prob(now, baseline);
         !self.attempt_rng.chance(loss)
     }
 
@@ -2100,5 +2160,78 @@ impl<S: Subscriber> Simulation for Network<S> {
         // Any handler may have enqueued or drained MAC traffic; keep the
         // skipping engine's slot event aimed at the earliest busy slot.
         self.sync_slot_event(now, queue);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::scenario::Scenario;
+    use std::collections::HashSet;
+
+    /// The min-tree agrees with a plain scan after every update, at sizes
+    /// that fill no, one and a partial power-of-two level of leaves.
+    #[test]
+    fn min_tree_tracks_the_minimum() {
+        let mut rng = SimRng::derive(5, "min-tree");
+        for n in [0, 1, 2, 5, 8, 121] {
+            let mut tree = MinTree::new(n);
+            let mut plain = vec![None; n];
+            assert_eq!(tree.min(), None);
+            for _ in 0..20 * n {
+                let i = rng.below(n);
+                let v = (!rng.chance(0.3)).then(|| rng.below(50) as u64);
+                tree.set(i, v);
+                plain[i] = v;
+                assert_eq!(tree.min(), plain.iter().filter_map(|&v| v).min());
+            }
+        }
+    }
+
+    /// Fading processes are stored per link that carried an attempt: none
+    /// at build, and after a full xl run at most one per geometric edge
+    /// (127 of 1 984 on `xl-grid-churn`), rather than a slot for each of
+    /// the n(n−1)/2 ≈ 524 k pairs of n = 1024.
+    #[test]
+    fn channel_storage_is_bounded_by_live_links() {
+        let sc = Scenario::xl_catalog()
+            .into_iter()
+            .find(|s| s.name == "xl-grid-churn")
+            .expect("xl-grid-churn in the xl catalog");
+        let cfg = sc.build(TransportKind::Jtp);
+        let (mut net, mut queue) = Network::with_subscriber(&cfg, NoopSubscriber);
+        assert!(
+            net.channels.iter().all(Vec::is_empty),
+            "a fading process was stored before any attempt"
+        );
+
+        let horizon = net.horizon();
+        jtp_sim::run_until(&mut net, &mut queue, horizon);
+        let mut keys = HashSet::new();
+        for (lo, row) in net.channels.iter().enumerate() {
+            for &(hi, _) in row {
+                assert!(
+                    (lo as u32) < hi,
+                    "link ({lo}, {hi}) stored under the wrong row"
+                );
+                assert!(
+                    keys.insert((lo as u32, hi)),
+                    "link ({lo}, {hi}) stored twice"
+                );
+            }
+        }
+        let geo = net.truth.geometry();
+        let n = geo.len();
+        let edges = (0..n)
+            .map(|i| geo.neighbors(NodeId(i as u32)).len())
+            .sum::<usize>()
+            / 2;
+        assert!(!keys.is_empty(), "the run transmitted nothing");
+        assert!(
+            keys.len() <= edges,
+            "{} stored processes exceed {edges} geometric edges",
+            keys.len()
+        );
+        assert!(keys.len() * 100 < n * (n - 1) / 2);
     }
 }

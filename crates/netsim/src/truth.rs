@@ -36,8 +36,10 @@ pub struct MaskedTruth {
     truth: Adjacency,
     /// `node_up[i]` ⇔ node i is powered.
     node_up: Vec<bool>,
-    /// Blacked-out undirected links (dense triangular index).
-    blocked: Vec<bool>,
+    /// Blacked-out undirected links as sorted `(lo, hi)` pairs. Only
+    /// `LinkDown` dynamics add to it, so it holds a handful of links and
+    /// is usually empty.
+    blocked: Vec<(NodeId, NodeId)>,
     /// Active partition: side membership per node. At most one at a time.
     partition: Option<Vec<bool>>,
 }
@@ -51,7 +53,7 @@ impl MaskedTruth {
             truth: geo.clone(),
             geo,
             node_up: vec![true; n],
-            blocked: vec![false; n * n.saturating_sub(1) / 2],
+            blocked: Vec::new(),
             partition: None,
         }
     }
@@ -83,7 +85,7 @@ impl MaskedTruth {
 
     /// Is the undirected link `{a, b}` blacked out?
     pub fn link_blocked(&self, a: NodeId, b: NodeId) -> bool {
-        self.blocked[self.pair_index(a.0.min(b.0), a.0.max(b.0))]
+        self.blocked.binary_search(&(a.min(b), a.max(b))).is_ok()
     }
 
     /// Are `a` and `b` on the same side of the active partition (vacuously
@@ -92,15 +94,6 @@ impl MaskedTruth {
         self.partition
             .as_ref()
             .is_none_or(|side| side[a.index()] == side[b.index()])
-    }
-
-    /// Dense index of the undirected pair `{lo, hi}` (upper-triangular,
-    /// row-major; same layout as the channel table).
-    fn pair_index(&self, lo: u32, hi: u32) -> usize {
-        let n = self.len();
-        let (lo, hi) = (lo as usize, hi as usize);
-        debug_assert!(lo < hi && hi < n);
-        lo * n - lo * (lo + 1) / 2 + (hi - lo - 1)
     }
 
     /// Should the edge `{a, b}` exist under the current geometry + masks?
@@ -137,11 +130,14 @@ impl MaskedTruth {
 
     /// Black out (or lift the blackout on) one undirected link.
     pub fn set_link_blocked(&mut self, a: NodeId, b: NodeId, blocked: bool) {
-        let idx = self.pair_index(a.0.min(b.0), a.0.max(b.0));
-        if self.blocked[idx] == blocked {
-            return;
+        let key = (a.min(b), a.max(b));
+        match (self.blocked.binary_search(&key), blocked) {
+            (Ok(_), true) | (Err(_), false) => return,
+            (Ok(k), false) => {
+                self.blocked.remove(k);
+            }
+            (Err(k), true) => self.blocked.insert(k, key),
         }
-        self.blocked[idx] = blocked;
         let want = self.edge_allowed(a, b);
         if self.truth.has_edge(a, b) != want {
             self.truth.set_edge(a, b, want);
