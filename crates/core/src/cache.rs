@@ -9,9 +9,17 @@
 //! The cache is soft state: nothing breaks if entries vanish (the source
 //! still holds every unacknowledged packet, preserving the end-to-end
 //! argument); a hit merely saves upstream transmissions.
+//!
+//! Storage is a slab of slots, grown on demand and recycled through a free
+//! list, a `HashMap` from [`CacheKey`] to slot, and a doubly linked recency
+//! list threaded through the slots, least recently manipulated at the
+//! head. Inserting, re-inserting or serving an entry moves it to the tail,
+//! and LRU and FIFO evict the head, so insert, evict and lookup are O(1)
+//! for both. Only the Random policy scans the live entries to evict.
 
 use crate::packet::DataPacket;
 use jtp_sim::FlowId;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// Key identifying a cached packet.
@@ -55,6 +63,17 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
+/// End-of-list marker for the recency links.
+const NIL: u32 = u32::MAX;
+
+/// One slab entry: a cached packet and its neighbours in recency order.
+#[derive(Clone, Debug)]
+struct Slot {
+    packet: DataPacket,
+    prev: u32,
+    next: u32,
+}
+
 /// In-network cache of data packets, bounded by a packet-count capacity
 /// (Table 1 default: 1000 packets), with a configurable eviction policy
 /// (LRU by default, as in the paper).
@@ -62,9 +81,15 @@ pub struct CacheStats {
 pub struct PacketCache {
     capacity: usize,
     policy: CachePolicy,
-    map: HashMap<CacheKey, (u64, DataPacket)>,
-    /// Logical clock for recency; u64 never wraps in practice.
-    clock: u64,
+    /// Entry storage. A freed slot keeps its stale packet until `free`
+    /// hands it out again.
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+    index: HashMap<CacheKey, u32>,
+    /// Least recently manipulated entry (oldest insertion under FIFO).
+    head: u32,
+    /// Most recently manipulated entry.
+    tail: u32,
     stats: CacheStats,
 }
 
@@ -84,6 +109,13 @@ fn key_priority(k: &CacheKey) -> u64 {
     h
 }
 
+fn key_of(packet: &DataPacket) -> CacheKey {
+    CacheKey {
+        flow: packet.flow,
+        seq: packet.seq,
+    }
+}
+
 impl PacketCache {
     /// Create an LRU cache holding at most `capacity` packets. A capacity
     /// of 0 disables caching entirely (the paper's JNC variant).
@@ -96,8 +128,11 @@ impl PacketCache {
         PacketCache {
             capacity,
             policy,
-            map: HashMap::new(),
-            clock: 0,
+            slots: Vec::new(),
+            free: Vec::new(),
+            index: HashMap::new(),
+            head: NIL,
+            tail: NIL,
             stats: CacheStats::default(),
         }
     }
@@ -107,86 +142,128 @@ impl PacketCache {
         self.policy
     }
 
-    fn tick(&mut self) -> u64 {
-        self.clock += 1;
-        self.clock
+    fn unlink(&mut self, i: u32) {
+        let Slot { prev, next, .. } = self.slots[i as usize];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n as usize].prev = prev,
+        }
+    }
+
+    fn push_back(&mut self, i: u32) {
+        let slot = &mut self.slots[i as usize];
+        slot.prev = self.tail;
+        slot.next = NIL;
+        match self.tail {
+            NIL => self.head = i,
+            t => self.slots[t as usize].next = i,
+        }
+        self.tail = i;
+    }
+
+    /// Mark slot `i` as the most recently manipulated entry.
+    fn touch(&mut self, i: u32) {
+        if self.tail != i {
+            self.unlink(i);
+            self.push_back(i);
+        }
     }
 
     /// Insert (or refresh) a traversing packet, evicting per policy when
-    /// full.
+    /// full. Refreshing replaces the stored packet and makes it the most
+    /// recently manipulated entry under every policy.
     pub fn insert(&mut self, packet: DataPacket) {
         if self.capacity == 0 {
             return;
         }
-        let key = CacheKey {
-            flow: packet.flow,
-            seq: packet.seq,
-        };
-        let stamp = self.tick();
-        if self.map.insert(key, (stamp, packet)).is_none() {
-            self.stats.insertions += 1;
-            if self.map.len() > self.capacity {
-                self.evict_one();
+        match self.index.entry(key_of(&packet)) {
+            Entry::Occupied(e) => {
+                let i = *e.get();
+                self.slots[i as usize].packet = packet;
+                self.touch(i);
+            }
+            Entry::Vacant(e) => {
+                let slot = Slot {
+                    packet,
+                    prev: NIL,
+                    next: NIL,
+                };
+                let i = match self.free.pop() {
+                    Some(i) => {
+                        self.slots[i as usize] = slot;
+                        i
+                    }
+                    None => {
+                        self.slots.push(slot);
+                        u32::try_from(self.slots.len() - 1).expect("cache slot index fits u32")
+                    }
+                };
+                e.insert(i);
+                self.push_back(i);
+                self.stats.insertions += 1;
+                if self.index.len() > self.capacity {
+                    self.evict_one();
+                }
             }
         }
     }
 
+    /// Evict one entry; only called when the cache holds more than
+    /// `capacity >= 1` entries, so the list is not empty.
     fn evict_one(&mut self) {
         let victim = match self.policy {
-            // Lru and Fifo both evict the smallest stamp; they differ in
-            // whether lookups refresh it (see `lookup`).
-            CachePolicy::Lru | CachePolicy::Fifo => self
-                .map
-                .iter()
-                .min_by_key(|(_, (stamp, _))| *stamp)
-                .map(|(k, _)| *k),
-            CachePolicy::Random => self.map.keys().min_by_key(|k| key_priority(k)).copied(),
+            // Lru and Fifo both evict the head; they differ in whether
+            // lookups move an entry to the tail (see `lookup`).
+            CachePolicy::Lru | CachePolicy::Fifo => self.head,
+            // Ties on the hash fall back to the key, a total order, so the
+            // victim never depends on hash-map iteration order.
+            CachePolicy::Random => std::iter::successors(Some(self.head), |&i| {
+                Some(self.slots[i as usize].next).filter(|&n| n != NIL)
+            })
+            .min_by_key(|&i| {
+                let k = key_of(&self.slots[i as usize].packet);
+                (key_priority(&k), k.flow, k.seq)
+            })
+            .expect("evicting from a non-empty cache"),
         };
-        if let Some(key) = victim {
-            self.map.remove(&key);
-            self.stats.evictions += 1;
-        }
+        self.index
+            .remove(&key_of(&self.slots[victim as usize].packet));
+        self.unlink(victim);
+        self.free.push(victim);
+        self.stats.evictions += 1;
     }
 
     /// Look up a packet for retransmission. Under LRU a hit refreshes
     /// recency (the "recently manipulated" rule); FIFO/Random do not.
     pub fn lookup(&mut self, flow: FlowId, seq: u32) -> Option<DataPacket> {
-        let key = CacheKey { flow, seq };
-        let stamp = self.tick();
-        let refresh = self.policy == CachePolicy::Lru;
-        match self.map.get_mut(&key) {
-            Some((s, pkt)) => {
-                if refresh {
-                    *s = stamp;
-                }
-                self.stats.hits += 1;
-                Some(pkt.clone())
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
+        let Some(&i) = self.index.get(&CacheKey { flow, seq }) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        if self.policy == CachePolicy::Lru {
+            self.touch(i);
         }
+        self.stats.hits += 1;
+        Some(self.slots[i as usize].packet.clone())
     }
 
     /// Peek without affecting recency or stats (used by tests/inspection).
     pub fn contains(&self, flow: FlowId, seq: u32) -> bool {
-        self.map.contains_key(&CacheKey { flow, seq })
-    }
-
-    /// Drop every entry of a flow (e.g. on connection teardown).
-    pub fn purge_flow(&mut self, flow: FlowId) {
-        self.map.retain(|k, _| k.flow != flow);
+        self.index.contains_key(&CacheKey { flow, seq })
     }
 
     /// Number of cached packets.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.index.len()
     }
 
     /// True when nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.index.is_empty()
     }
 
     /// Capacity in packets.
@@ -271,16 +348,6 @@ mod tests {
         assert!(c.is_empty());
         assert!(c.lookup(FlowId(1), 0).is_none());
         assert_eq!(c.stats().insertions, 0);
-    }
-
-    #[test]
-    fn purge_flow_is_selective() {
-        let mut c = PacketCache::new(10);
-        c.insert(pkt(1, 0));
-        c.insert(pkt(2, 0));
-        c.purge_flow(FlowId(1));
-        assert!(!c.contains(FlowId(1), 0));
-        assert!(c.contains(FlowId(2), 0));
     }
 
     #[test]

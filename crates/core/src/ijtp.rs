@@ -205,11 +205,6 @@ impl IjtpModule {
     pub fn cache(&self) -> &PacketCache {
         &self.cache
     }
-
-    /// Mutable cache access.
-    pub fn cache_mut(&mut self) -> &mut PacketCache {
-        &mut self.cache
-    }
 }
 
 #[cfg(test)]

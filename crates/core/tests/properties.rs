@@ -1,12 +1,14 @@
 //! Property-based tests of the JTP core invariants.
 
+use jtp::cache::CacheStats;
 use jtp::packet::{compress_ranges, expand_ranges, AckPacket, DataPacket, SeqRange};
 use jtp::reliability::{
     achieved_success, max_attempts_for, per_hop_success_target, update_loss_tolerance,
 };
-use jtp::{JtpConfig, PacketCache};
+use jtp::{CachePolicy, JtpConfig, PacketCache};
 use jtp_sim::{FlowId, SimDuration};
 use proptest::prelude::*;
+use std::collections::HashMap;
 
 fn arb_data_packet() -> impl Strategy<Value = DataPacket> {
     (
@@ -46,6 +48,82 @@ fn arb_ranges(max_len: usize) -> impl Strategy<Value = Vec<SeqRange>> {
         seqs.dedup();
         compress_ranges(&seqs)
     })
+}
+
+/// Reference model of `PacketCache`: the stamp-and-scan design the slab
+/// and recency list replaced. Every entry carries the logical time it was
+/// last manipulated; eviction scans for the smallest stamp (LRU, FIFO) or
+/// the smallest `(priority, flow, seq)` (Random).
+struct ModelCache {
+    capacity: usize,
+    policy: CachePolicy,
+    clock: u64,
+    map: HashMap<(u16, u32), (u64, DataPacket)>,
+    stats: CacheStats,
+}
+
+/// The Random policy's FNV-style key priority.
+fn model_priority(flow: u16, seq: u32) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in flow.to_le_bytes().into_iter().chain(seq.to_le_bytes()) {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
+
+impl ModelCache {
+    fn new(capacity: usize, policy: CachePolicy) -> Self {
+        ModelCache {
+            capacity,
+            policy,
+            clock: 0,
+            map: HashMap::new(),
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn insert(&mut self, p: DataPacket) {
+        if self.capacity == 0 {
+            return;
+        }
+        self.clock += 1;
+        let key = (p.flow.0, p.seq);
+        if self.map.insert(key, (self.clock, p)).is_none() {
+            self.stats.insertions += 1;
+            if self.map.len() > self.capacity {
+                let policy = self.policy;
+                let victim = *self
+                    .map
+                    .iter()
+                    .min_by_key(|(&(flow, seq), &(stamp, _))| match policy {
+                        CachePolicy::Random => (model_priority(flow, seq), flow, seq),
+                        CachePolicy::Lru | CachePolicy::Fifo => (stamp, 0, 0),
+                    })
+                    .unwrap()
+                    .0;
+                self.map.remove(&victim);
+                self.stats.evictions += 1;
+            }
+        }
+    }
+
+    fn lookup(&mut self, flow: u16, seq: u32) -> Option<DataPacket> {
+        self.clock += 1;
+        match self.map.get_mut(&(flow, seq)) {
+            Some((stamp, p)) => {
+                if self.policy == CachePolicy::Lru {
+                    *stamp = self.clock;
+                }
+                self.stats.hits += 1;
+                Some(p.clone())
+            }
+            None => {
+                self.stats.misses += 1;
+                None
+            }
+        }
+    }
 }
 
 proptest! {
@@ -198,6 +276,57 @@ proptest! {
         // The most recently manipulated entry is always present.
         if let Some(seq) = last_touched {
             prop_assert!(cache.contains(FlowId(1), seq));
+        }
+    }
+
+    /// The cache evicts exactly what the stamp-and-scan model evicts, under
+    /// every policy: after each insert, re-insert or lookup, every key's
+    /// presence, the length and the counters agree, and lookups return the
+    /// most recently inserted copy of a packet.
+    #[test]
+    fn cache_matches_stamp_and_scan_model(
+        capacity in 0usize..40,
+        policy in 0usize..3,
+        flows in 1u16..4,
+        ops in proptest::collection::vec((any::<bool>(), 0u16..3, 0u32..50, any::<u16>()), 1..300),
+    ) {
+        let policy = [CachePolicy::Lru, CachePolicy::Fifo, CachePolicy::Random][policy];
+        let mut cache = PacketCache::with_policy(capacity, policy);
+        let mut model = ModelCache::new(capacity, policy);
+        for (step, (is_insert, flow, seq, payload_len)) in ops.into_iter().enumerate() {
+            let flow = flow % flows;
+            if is_insert {
+                let p = DataPacket {
+                    flow: FlowId(flow),
+                    seq,
+                    rate_pps: 1.0,
+                    loss_tolerance: 0.0,
+                    remaining_hops: 1,
+                    energy_budget_nj: 1,
+                    energy_used_nj: 0,
+                    deadline_ms: 0,
+                    payload_len,
+                };
+                cache.insert(p.clone());
+                model.insert(p);
+            } else {
+                prop_assert_eq!(
+                    cache.lookup(FlowId(flow), seq),
+                    model.lookup(flow, seq),
+                    "step {}: lookup of ({}, {})", step, flow, seq
+                );
+            }
+            prop_assert_eq!(cache.len(), model.map.len(), "step {}", step);
+            prop_assert_eq!(cache.stats(), model.stats, "step {}", step);
+            for f in 0..flows {
+                for s in 0..50 {
+                    prop_assert_eq!(
+                        cache.contains(FlowId(f), s),
+                        model.map.contains_key(&(f, s)),
+                        "step {}: {:?} cap {}, key ({}, {})", step, policy, capacity, f, s
+                    );
+                }
+            }
         }
     }
 
