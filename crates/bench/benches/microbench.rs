@@ -77,24 +77,39 @@ fn bench_reliability(c: &mut Criterion) {
 }
 
 fn bench_cache(c: &mut Criterion) {
+    let mk = |seq: u32| DataPacket {
+        flow: FlowId(1),
+        seq,
+        rate_pps: 1.0,
+        loss_tolerance: 0.0,
+        remaining_hops: 1,
+        energy_budget_nj: 1,
+        energy_used_nj: 0,
+        deadline_ms: 0,
+        payload_len: 800,
+    };
     c.bench_function("cache/insert_lookup_1k", |b| {
-        let mk = |seq: u32| DataPacket {
-            flow: FlowId(1),
-            seq,
-            rate_pps: 1.0,
-            loss_tolerance: 0.0,
-            remaining_hops: 1,
-            energy_budget_nj: 1,
-            energy_used_nj: 0,
-            deadline_ms: 0,
-            payload_len: 800,
-        };
         b.iter(|| {
             let mut cache = PacketCache::new(256);
             for s in 0..1000u32 {
                 cache.insert(mk(s));
                 if s % 3 == 0 {
                     black_box(cache.lookup(FlowId(1), s / 2));
+                }
+            }
+            black_box(cache.len())
+        })
+    });
+    // Table 1's capacity, filled five times over: after the first 1 000
+    // inserts every insert also evicts, the steady state of a relay on a
+    // busy chain. Every lookup hits mid-list and moves the entry.
+    c.bench_function("cache/steady_state_table1_5k", |b| {
+        b.iter(|| {
+            let mut cache = PacketCache::new(1000);
+            for s in 0..5000u32 {
+                cache.insert(mk(s));
+                if s % 3 == 0 {
+                    black_box(cache.lookup(FlowId(1), s.saturating_sub(500)));
                 }
             }
             black_box(cache.len())
