@@ -19,10 +19,6 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 pub struct AtpConfig {
     /// Application payload bytes per packet.
     pub payload_bytes: u16,
-    /// Data header bytes (ATP rate field + transport header).
-    pub header_bytes: usize,
-    /// Feedback packet bytes.
-    pub feedback_bytes: usize,
     /// Constant feedback period (must exceed the RTT; the assembly sets it
     /// from the topology).
     pub feedback_period: SimDuration,
@@ -44,8 +40,6 @@ impl Default for AtpConfig {
     fn default() -> Self {
         AtpConfig {
             payload_bytes: 800,
-            header_bytes: 32,
-            feedback_bytes: 64,
             feedback_period: SimDuration::from_secs(3),
             min_rate_pps: 0.1,
             max_rate_pps: 50.0,
@@ -55,6 +49,11 @@ impl Default for AtpConfig {
         }
     }
 }
+
+/// Data header bytes (ATP rate field + transport header).
+pub const ATP_HEADER_BYTES: usize = 32;
+/// Bytes of an ATP feedback packet.
+pub const ATP_FEEDBACK_BYTES: usize = 64;
 
 /// An ATP data packet.
 #[derive(Clone, Copy, PartialEq, Debug)]

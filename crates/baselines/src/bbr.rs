@@ -22,12 +22,13 @@
 //! mask RTprop for 10 s), no randomized ProbeBw entry offset (the cycle
 //! always starts at the probe gain — determinism beats phase
 //! desynchronization here), and loss does not modulate the rate at all —
-//! reliability rides the same SACK scoreboard + RTO as `tcp.rs`, but the
-//! path model alone sets the pace.
+//! reliability rides the shared SACK core of [`crate::sack`] (one wire
+//! format, one receiver, one scoreboard + RTO), but the path model alone
+//! sets the pace.
 
-use jtp::packet::{compress_ranges, SeqRange};
+use crate::sack::{SackScoreboard, TcpAck, TcpData};
 use jtp_sim::{FlowId, SimDuration, SimTime};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Startup/Drain gain: 2/ln(2).
 pub const STARTUP_GAIN: f64 = 2.885;
@@ -39,10 +40,6 @@ pub const PROBE_BW_GAINS: [f64; 8] = [1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0];
 pub struct BbrConfig {
     /// Application payload bytes per segment (matching JTP's 800).
     pub payload_bytes: u16,
-    /// IP+TCP header bytes on data segments.
-    pub header_bytes: usize,
-    /// Bytes of a pure ACK (IP+TCP+SACK option).
-    pub ack_bytes: usize,
     /// Delayed-ACK factor `b` (one ACK per `b` segments).
     pub delayed_ack_every: u32,
     /// Rate bounds (pps).
@@ -69,8 +66,6 @@ impl Default for BbrConfig {
     fn default() -> Self {
         BbrConfig {
             payload_bytes: 800,
-            header_bytes: 40,
-            ack_bytes: 52,
             delayed_ack_every: 2,
             min_rate_pps: 0.1,
             max_rate_pps: 50.0,
@@ -94,32 +89,6 @@ pub enum BbrPhase {
     Drain,
     /// Steady-state gain cycling.
     ProbeBw,
-}
-
-/// A BBR data segment (simulation representation).
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct BbrData {
-    /// Flow id.
-    pub flow: FlowId,
-    /// Segment sequence number (packet-granularity).
-    pub seq: u32,
-    /// Timestamp option: when the segment left the sender.
-    pub sent_at: SimTime,
-    /// Payload bytes.
-    pub payload_len: u16,
-}
-
-/// A BBR acknowledgment with SACK blocks.
-#[derive(Clone, PartialEq, Debug)]
-pub struct BbrAck {
-    /// Flow id.
-    pub flow: FlowId,
-    /// Cumulative ACK: everything below is delivered.
-    pub cum_ack: u32,
-    /// SACK blocks above the cumulative ACK.
-    pub sack: Vec<SeqRange>,
-    /// Echoed timestamp of the newest data that triggered this ACK.
-    pub echo: SimTime,
 }
 
 /// Sender statistics.
@@ -149,12 +118,7 @@ struct SentState {
 pub struct BbrSender {
     flow: FlowId,
     cfg: BbrConfig,
-    total: u32,
-    next_seq: u32,
-    cum_ack: u32,
-    outstanding: BTreeMap<u32, SentState>,
-    sacked: BTreeSet<u32>,
-    rtx_queue: VecDeque<u32>,
+    board: SackScoreboard<SentState>,
     // --- path model ---
     /// Total packets known delivered (cum + SACK).
     delivered: u64,
@@ -174,9 +138,6 @@ pub struct BbrSender {
     cycle_index: usize,
     cycle_stamp: SimTime,
     rate_pps: f64,
-    next_send: SimTime,
-    rto_deadline: Option<SimTime>,
-    rto_backoff: u32,
     stats: BbrSenderStats,
 }
 
@@ -186,12 +147,7 @@ impl BbrSender {
         let rtt = cfg.initial_rtt.as_secs_f64();
         let mut s = BbrSender {
             flow,
-            total,
-            next_seq: 0,
-            cum_ack: 0,
-            outstanding: BTreeMap::new(),
-            sacked: BTreeSet::new(),
-            rtx_queue: VecDeque::new(),
+            board: SackScoreboard::new(total),
             delivered: 0,
             bw_samples: VecDeque::new(),
             min_rtt_s: rtt,
@@ -206,9 +162,6 @@ impl BbrSender {
             cycle_index: 0,
             cycle_stamp: SimTime::ZERO,
             rate_pps: 1.0,
-            next_send: SimTime::ZERO,
-            rto_deadline: None,
-            rto_backoff: 0,
             stats: BbrSenderStats::default(),
             cfg,
         };
@@ -261,15 +214,12 @@ impl BbrSender {
 
     /// Packets currently outstanding and not SACKed.
     pub fn inflight(&self) -> u64 {
-        self.outstanding
-            .keys()
-            .filter(|s| !self.sacked.contains(s))
-            .count() as u64
+        self.board.inflight()
     }
 
     /// Everything delivered?
     pub fn is_complete(&self) -> bool {
-        self.cum_ack >= self.total
+        self.board.is_complete()
     }
 
     /// Counter snapshot.
@@ -277,64 +227,32 @@ impl BbrSender {
         self.stats
     }
 
+    /// Retransmission timeout: twice RTprop, backed off.
     fn rto(&self) -> SimDuration {
-        let base = 2.0 * self.min_rtt_s;
-        let backed = base * (1u64 << self.rto_backoff.min(6)) as f64;
-        SimDuration::from_secs_f64(backed).max(self.cfg.rto_min)
-    }
-
-    fn arm_rto(&mut self, now: SimTime) {
-        self.rto_deadline = if self.outstanding.is_empty() {
-            None
-        } else {
-            Some(now + self.rto())
-        };
-    }
-
-    fn has_backlog(&self) -> bool {
-        !self.rtx_queue.is_empty() || self.next_seq < self.total
+        self.board.rto(2.0 * self.min_rtt_s, self.cfg.rto_min)
     }
 
     /// Emit at most one segment if pacing allows and inflight is under the
     /// cap. Retransmissions bypass the inflight cap — they replace
     /// presumed-lost packets already counted against it.
-    pub fn poll_send(&mut self, now: SimTime) -> Option<BbrData> {
-        if now < self.next_send || !self.has_backlog() {
+    pub fn poll_send(&mut self, now: SimTime) -> Option<TcpData> {
+        if !self.board.ready(now) {
             return None;
         }
         let gap = SimDuration::from_secs_f64(1.0 / self.rate_pps.max(self.cfg.min_rate_pps));
-        let seq = loop {
-            match self.rtx_queue.pop_front() {
-                Some(s) if s >= self.cum_ack && !self.sacked.contains(&s) => {
-                    self.stats.retransmissions += 1;
-                    break Some(s);
-                }
-                Some(_) => continue, // stale entry
-                None => break None,
-            }
+        let cap = self.cwnd_packets();
+        let (seq, rtx) = self.board.pick(|b| (b.inflight() as f64) < cap)?;
+        if rtx {
+            self.stats.retransmissions += 1;
+        } else {
+            self.stats.fresh_sent += 1;
         }
-        .or_else(|| {
-            if self.next_seq < self.total && (self.inflight() as f64) < self.cwnd_packets() {
-                let s = self.next_seq;
-                self.next_seq += 1;
-                self.stats.fresh_sent += 1;
-                Some(s)
-            } else {
-                None
-            }
-        })?;
-        self.outstanding.insert(
-            seq,
-            SentState {
-                sent_at: now,
-                delivered_at_send: self.delivered,
-            },
-        );
-        if self.rto_deadline.is_none() {
-            self.arm_rto(now);
-        }
-        self.next_send = now + gap;
-        Some(BbrData {
+        let state = SentState {
+            sent_at: now,
+            delivered_at_send: self.delivered,
+        };
+        self.board.sent(now, seq, state, gap, self.rto());
+        Some(TcpData {
             flow: self.flow,
             seq,
             sent_at: now,
@@ -347,11 +265,7 @@ impl BbrSender {
     /// progress; the RTO deadline is the backstop so a fully lost window
     /// can never stall the flow.
     pub fn next_wakeup(&self) -> Option<SimTime> {
-        let pacing = self.has_backlog().then_some(self.next_send);
-        match (pacing, self.rto_deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.board.next_wakeup()
     }
 
     fn record_bw_sample(&mut self, bw_pps: f64) {
@@ -396,7 +310,7 @@ impl BbrSender {
     fn on_round_end(&mut self) {
         self.round += 1;
         self.stats.rounds += 1;
-        self.round_end_seq = self.next_seq;
+        self.round_end_seq = self.board.next_seq();
         if self.phase == BbrPhase::Startup {
             let bw = self.max_bw_pps();
             if bw >= self.full_bw * 1.25 {
@@ -409,7 +323,7 @@ impl BbrSender {
     }
 
     /// Process an acknowledgment.
-    pub fn on_ack(&mut self, now: SimTime, ack: &BbrAck) {
+    pub fn on_ack(&mut self, now: SimTime, ack: &TcpAck) {
         debug_assert_eq!(ack.flow, self.flow);
         self.stats.acks_received += 1;
 
@@ -424,32 +338,9 @@ impl BbrSender {
             }
         }
 
-        // Free newly delivered segments, taking one delivery-rate sample
-        // per freed segment: packets delivered since it was sent over the
-        // time since it was sent.
-        let mut freed: Vec<(u32, SentState)> = Vec::new();
-        if ack.cum_ack > self.cum_ack {
-            for (&s, &st) in self.outstanding.range(..ack.cum_ack) {
-                freed.push((s, st));
-            }
-            for &(s, _) in &freed {
-                self.outstanding.remove(&s);
-            }
-            self.sacked = self.sacked.split_off(&ack.cum_ack);
-            self.cum_ack = ack.cum_ack;
-            self.rto_backoff = 0;
-        }
-        let mut highest_sacked = None;
-        for r in &ack.sack {
-            for s in r.iter() {
-                if s >= self.cum_ack && self.sacked.insert(s) {
-                    if let Some(&st) = self.outstanding.get(&s) {
-                        freed.push((s, st));
-                    }
-                }
-                highest_sacked = Some(highest_sacked.map_or(s, |h: u32| h.max(s)));
-            }
-        }
+        // One delivery-rate sample per newly delivered segment: packets
+        // delivered since it was sent over the time since it was sent.
+        let freed = self.board.on_ack(ack);
         self.delivered += freed.len() as u64;
         for &(_, st) in &freed {
             let dt = now.since(st.sent_at).as_secs_f64();
@@ -458,32 +349,17 @@ impl BbrSender {
                 self.record_bw_sample(bw);
             }
         }
-        if ack.cum_ack > self.round_end_seq || self.cum_ack >= self.total {
+        if ack.cum_ack > self.round_end_seq || self.board.is_complete() {
             self.on_round_end();
         }
 
-        // SACK loss inference with DUPTHRESH (RFC 6675), as in `tcp.rs` —
-        // queues the retransmission but leaves the path model untouched.
-        const DUPTHRESH: usize = 3;
-        if highest_sacked.is_some() {
-            let lost: Vec<u32> = self
-                .outstanding
-                .keys()
-                .copied()
-                .filter(|s| {
-                    !self.sacked.contains(s) && self.sacked.range((s + 1)..).count() >= DUPTHRESH
-                })
-                .collect();
-            for s in lost {
-                if !self.rtx_queue.contains(&s) {
-                    self.rtx_queue.push_back(s);
-                }
-            }
-        }
+        // Loss inference queues the retransmission but leaves the path
+        // model untouched.
+        self.board.infer_losses(ack);
 
         self.advance_phase(now);
         self.update_rate();
-        self.arm_rto(now);
+        self.board.arm_rto(now, self.rto());
     }
 
     fn update_rate(&mut self) {
@@ -501,128 +377,17 @@ impl BbrSender {
     /// is queued for retransmission with exponential back-off. The path
     /// model is kept — BBR does not infer congestion from loss.
     pub fn on_timer(&mut self, now: SimTime) {
-        let Some(deadline) = self.rto_deadline else {
-            return;
-        };
-        if now < deadline {
-            return;
-        }
-        if let Some((&seq, _)) = self.outstanding.iter().next() {
-            if !self.rtx_queue.contains(&seq) {
-                self.rtx_queue.push_front(seq);
-            }
+        if self.board.fire_rto(now) {
             self.stats.timeouts += 1;
-            self.rto_backoff += 1;
-            self.next_send = now; // retransmit immediately
+            self.board.arm_rto(now, self.rto());
         }
-        self.arm_rto(now);
-    }
-
-    /// Bytes on the wire for a data segment.
-    pub fn data_wire_bytes(&self) -> usize {
-        self.cfg.header_bytes + self.cfg.payload_bytes as usize
-    }
-}
-
-/// Receiver statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BbrReceiverStats {
-    /// Distinct segments delivered.
-    pub delivered_packets: u64,
-    /// Payload bytes delivered.
-    pub delivered_bytes: u64,
-    /// Duplicates discarded.
-    pub duplicates: u64,
-    /// ACKs emitted.
-    pub acks_sent: u64,
-}
-
-/// The BBR receiver: delayed ACKs, immediate SACK on reordering — the
-/// same contract as the TCP-SACK receiver.
-#[derive(Clone, Debug)]
-pub struct BbrReceiver {
-    flow: FlowId,
-    cfg: BbrConfig,
-    prefix: u32,
-    ooo: BTreeSet<u32>,
-    unacked_data: u32,
-    last_echo: SimTime,
-    stats: BbrReceiverStats,
-}
-
-impl BbrReceiver {
-    /// Create the receiving endpoint.
-    pub fn new(flow: FlowId, cfg: BbrConfig) -> Self {
-        BbrReceiver {
-            flow,
-            cfg,
-            prefix: 0,
-            ooo: BTreeSet::new(),
-            unacked_data: 0,
-            last_echo: SimTime::ZERO,
-            stats: BbrReceiverStats::default(),
-        }
-    }
-
-    /// The flow this endpoint terminates.
-    pub fn flow(&self) -> FlowId {
-        self.flow
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> BbrReceiverStats {
-        self.stats
-    }
-
-    /// Cumulative delivery point.
-    pub fn cum_ack(&self) -> u32 {
-        self.prefix
-    }
-
-    /// Process a data segment; ACK per delayed-ACK policy.
-    pub fn on_data(&mut self, _now: SimTime, data: &BbrData) -> Option<BbrAck> {
-        debug_assert_eq!(data.flow, self.flow);
-        let fresh = data.seq >= self.prefix && self.ooo.insert(data.seq);
-        if fresh {
-            self.stats.delivered_packets += 1;
-            self.stats.delivered_bytes += data.payload_len as u64;
-            while self.ooo.remove(&self.prefix) {
-                self.prefix += 1;
-            }
-        } else {
-            self.stats.duplicates += 1;
-        }
-        self.last_echo = data.sent_at;
-        self.unacked_data += 1;
-        let out_of_order = !self.ooo.is_empty();
-        if out_of_order || self.unacked_data >= self.cfg.delayed_ack_every {
-            Some(self.make_ack())
-        } else {
-            None
-        }
-    }
-
-    fn make_ack(&mut self) -> BbrAck {
-        self.unacked_data = 0;
-        self.stats.acks_sent += 1;
-        let sacked: Vec<u32> = self.ooo.iter().copied().collect();
-        BbrAck {
-            flow: self.flow,
-            cum_ack: self.prefix,
-            sack: compress_ranges(&sacked),
-            echo: self.last_echo,
-        }
-    }
-
-    /// Force a pending delayed ACK out.
-    pub fn flush_ack(&mut self) -> Option<BbrAck> {
-        (self.unacked_data > 0).then(|| self.make_ack())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jtp::packet::SeqRange;
 
     fn sender(total: u32) -> BbrSender {
         BbrSender::new(FlowId(1), total, BbrConfig::default())
@@ -671,7 +436,7 @@ mod tests {
             s.poll_send(t).unwrap();
             t += SimDuration::from_secs(5);
         }
-        let ack = BbrAck {
+        let ack = TcpAck {
             flow: FlowId(1),
             cum_ack: 2,
             sack: vec![],
@@ -691,7 +456,7 @@ mod tests {
             t += SimDuration::from_secs(5);
         }
         // Cap reached; a SACK hole queues seq 0 for retransmission.
-        let ack = BbrAck {
+        let ack = TcpAck {
             flow: FlowId(1),
             cum_ack: 0,
             sack: vec![SeqRange { start: 1, end: 3 }],
@@ -722,7 +487,7 @@ mod tests {
         while s.poll_send(t).is_some() {
             t += SimDuration::from_secs(5);
         }
-        let ack = BbrAck {
+        let ack = TcpAck {
             flow: FlowId(1),
             cum_ack: 2,
             sack: vec![],
@@ -731,20 +496,5 @@ mod tests {
         s.on_ack(t, &ack);
         assert!(s.is_complete());
         assert!(s.poll_send(t + SimDuration::from_secs(1)).is_none());
-    }
-
-    #[test]
-    fn receiver_contract_matches_tcp() {
-        let mut r = BbrReceiver::new(FlowId(1), BbrConfig::default());
-        let d = |seq| BbrData {
-            flow: FlowId(1),
-            seq,
-            sent_at: SimTime::ZERO,
-            payload_len: 800,
-        };
-        assert!(r.on_data(SimTime::ZERO, &d(0)).is_none(), "first: delayed");
-        let ack = r.on_data(SimTime::ZERO, &d(2)).expect("gap => immediate");
-        assert_eq!(ack.cum_ack, 1);
-        assert_eq!(ack.sack, vec![SeqRange::single(2)]);
     }
 }

@@ -18,22 +18,18 @@
 //! burst dynamics are deliberately out of model (as are HyStart and
 //! window scaling by receive buffer).
 //!
-//! Reliability is the same SACK scoreboard as `tcp.rs`: DUPTHRESH
-//! inference plus an RTO with exponential back-off.
+//! Reliability is the shared SACK core of [`crate::sack`]: one wire format,
+//! one receiver, RFC 6675 loss inference plus an RTO with exponential
+//! back-off.
 
-use jtp::packet::{compress_ranges, SeqRange};
+use crate::sack::{SackScoreboard, SmoothedRtt, TcpAck, TcpData};
 use jtp_sim::{FlowId, SimDuration, SimTime};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// CUBIC baseline configuration.
 #[derive(Clone, Debug)]
 pub struct CubicConfig {
     /// Application payload bytes per segment (matching JTP's 800).
     pub payload_bytes: u16,
-    /// IP+TCP header bytes on data segments.
-    pub header_bytes: usize,
-    /// Bytes of a pure ACK (IP+TCP+SACK option).
-    pub ack_bytes: usize,
     /// Delayed-ACK factor `b` (one ACK per `b` segments).
     pub delayed_ack_every: u32,
     /// Rate bounds (pps).
@@ -58,8 +54,6 @@ impl Default for CubicConfig {
     fn default() -> Self {
         CubicConfig {
             payload_bytes: 800,
-            header_bytes: 40,
-            ack_bytes: 52,
             delayed_ack_every: 2,
             min_rate_pps: 0.1,
             max_rate_pps: 50.0,
@@ -71,32 +65,6 @@ impl Default for CubicConfig {
             fast_convergence: true,
         }
     }
-}
-
-/// A CUBIC data segment (simulation representation).
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct CubicData {
-    /// Flow id.
-    pub flow: FlowId,
-    /// Segment sequence number (packet-granularity).
-    pub seq: u32,
-    /// Timestamp option: when the segment left the sender.
-    pub sent_at: SimTime,
-    /// Payload bytes.
-    pub payload_len: u16,
-}
-
-/// A CUBIC acknowledgment with SACK blocks.
-#[derive(Clone, PartialEq, Debug)]
-pub struct CubicAck {
-    /// Flow id.
-    pub flow: FlowId,
-    /// Cumulative ACK: everything below is delivered.
-    pub cum_ack: u32,
-    /// SACK blocks above the cumulative ACK.
-    pub sack: Vec<SeqRange>,
-    /// Echoed timestamp of the newest data that triggered this ACK.
-    pub echo: SimTime,
 }
 
 /// The CUBIC window curve `W(t) = C·(t − K)³ + W_origin` in packets.
@@ -136,15 +104,8 @@ pub struct CubicSenderStats {
 pub struct CubicSender {
     flow: FlowId,
     cfg: CubicConfig,
-    total: u32,
-    next_seq: u32,
-    cum_ack: u32,
-    outstanding: BTreeMap<u32, SimTime>,
-    sacked: BTreeSet<u32>,
-    rtx_queue: VecDeque<u32>,
-    srtt_s: f64,
-    rttvar_s: f64,
-    have_rtt: bool,
+    board: SackScoreboard<SimTime>,
+    rtt: SmoothedRtt,
     // --- CUBIC state ---
     cwnd: f64,
     ssthresh: f64,
@@ -155,27 +116,16 @@ pub struct CubicSender {
     /// Loss events with a lost seq below this are the same episode.
     recover: u32,
     rate_pps: f64,
-    next_send: SimTime,
-    rto_deadline: Option<SimTime>,
-    rto_backoff: u32,
     stats: CubicSenderStats,
 }
 
 impl CubicSender {
     /// Create a source transferring `total` segments.
     pub fn new(flow: FlowId, total: u32, cfg: CubicConfig) -> Self {
-        let srtt = cfg.initial_rtt.as_secs_f64();
         let mut s = CubicSender {
             flow,
-            total,
-            next_seq: 0,
-            cum_ack: 0,
-            outstanding: BTreeMap::new(),
-            sacked: BTreeSet::new(),
-            rtx_queue: VecDeque::new(),
-            srtt_s: srtt,
-            rttvar_s: srtt / 2.0,
-            have_rtt: false,
+            board: SackScoreboard::new(total),
+            rtt: SmoothedRtt::new(cfg.initial_rtt),
             cwnd: 2.0,
             ssthresh: f64::INFINITY,
             w_max: 0.0,
@@ -184,9 +134,6 @@ impl CubicSender {
             w_origin: 0.0,
             recover: 0,
             rate_pps: 1.0,
-            next_send: SimTime::ZERO,
-            rto_deadline: None,
-            rto_backoff: 0,
             stats: CubicSenderStats::default(),
             cfg,
         };
@@ -236,7 +183,7 @@ impl CubicSender {
 
     /// Everything delivered?
     pub fn is_complete(&self) -> bool {
-        self.cum_ack >= self.total
+        self.board.is_complete()
     }
 
     /// Counter snapshot.
@@ -246,53 +193,23 @@ impl CubicSender {
 
     /// Current retransmission timeout.
     fn rto(&self) -> SimDuration {
-        let base = self.srtt_s + 4.0 * self.rttvar_s;
-        let backed = base * (1u64 << self.rto_backoff.min(6)) as f64;
-        SimDuration::from_secs_f64(backed).max(self.cfg.rto_min)
-    }
-
-    fn arm_rto(&mut self, now: SimTime) {
-        self.rto_deadline = if self.outstanding.is_empty() {
-            None
-        } else {
-            Some(now + self.rto())
-        };
-    }
-
-    fn has_backlog(&self) -> bool {
-        !self.rtx_queue.is_empty() || self.next_seq < self.total
+        self.board.rto(self.rtt.rto_base_s(), self.cfg.rto_min)
     }
 
     /// Emit at most one segment if pacing allows.
-    pub fn poll_send(&mut self, now: SimTime) -> Option<CubicData> {
-        if now < self.next_send || !self.has_backlog() {
+    pub fn poll_send(&mut self, now: SimTime) -> Option<TcpData> {
+        if !self.board.ready(now) {
             return None;
         }
         let gap = SimDuration::from_secs_f64(1.0 / self.rate_pps.max(self.cfg.min_rate_pps));
-        let seq = loop {
-            match self.rtx_queue.pop_front() {
-                Some(s) if s >= self.cum_ack && !self.sacked.contains(&s) => {
-                    self.stats.retransmissions += 1;
-                    break Some(s);
-                }
-                Some(_) => continue, // stale entry
-                None => break None,
-            }
+        let (seq, rtx) = self.board.pick(|_| true)?;
+        if rtx {
+            self.stats.retransmissions += 1;
+        } else {
+            self.stats.fresh_sent += 1;
         }
-        .or_else(|| {
-            (self.next_seq < self.total).then(|| {
-                let s = self.next_seq;
-                self.next_seq += 1;
-                self.stats.fresh_sent += 1;
-                s
-            })
-        })?;
-        self.outstanding.insert(seq, now);
-        if self.rto_deadline.is_none() {
-            self.arm_rto(now);
-        }
-        self.next_send = now + gap;
-        Some(CubicData {
+        self.board.sent(now, seq, now, gap, self.rto());
+        Some(TcpData {
             flow: self.flow,
             seq,
             sent_at: now,
@@ -302,11 +219,7 @@ impl CubicSender {
 
     /// Next instant the sender wants attention (pacing or RTO).
     pub fn next_wakeup(&self) -> Option<SimTime> {
-        let pacing = self.has_backlog().then_some(self.next_send);
-        match (pacing, self.rto_deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.board.next_wakeup()
     }
 
     /// Start a new cubic growth epoch from the current window.
@@ -334,7 +247,7 @@ impl CubicSender {
                 self.begin_epoch(now);
             }
             let t = now.since(self.epoch_start.unwrap()).as_secs_f64();
-            let rtt = self.srtt_s.max(1e-3);
+            let rtt = self.rtt.srtt_s.max(1e-3);
             let target = w_cubic(self.cfg.c, t + rtt, self.k_s, self.w_origin);
             if target > self.cwnd {
                 self.cwnd += (target - self.cwnd) / self.cwnd.max(1.0);
@@ -366,83 +279,29 @@ impl CubicSender {
             (prior * self.cfg.beta).max(1.0)
         };
         self.epoch_start = None;
-        self.recover = self.next_seq;
+        self.recover = self.board.next_seq();
     }
 
-    /// Process an acknowledgment.
-    pub fn on_ack(&mut self, now: SimTime, ack: &CubicAck) {
+    /// Process an acknowledgment: a newly inferred loss starts a loss
+    /// episode unless one is already being recovered; otherwise the window
+    /// grows by the newly acknowledged segments.
+    pub fn on_ack(&mut self, now: SimTime, ack: &TcpAck) {
         debug_assert_eq!(ack.flow, self.flow);
         self.stats.acks_received += 1;
-
-        let sample = now.since(ack.echo).as_secs_f64();
-        if sample > 0.0 {
-            if self.have_rtt {
-                let err = sample - self.srtt_s;
-                self.srtt_s += 0.125 * err;
-                self.rttvar_s += 0.25 * (err.abs() - self.rttvar_s);
-            } else {
-                self.srtt_s = sample;
-                self.rttvar_s = sample / 2.0;
-                self.have_rtt = true;
-            }
-        }
-
-        let mut newly_delivered = 0u64;
-        if ack.cum_ack > self.cum_ack {
-            let freed: Vec<u32> = self
-                .outstanding
-                .range(..ack.cum_ack)
-                .map(|(&s, _)| s)
-                .collect();
-            newly_delivered += freed.len() as u64;
-            for s in freed {
-                self.outstanding.remove(&s);
-            }
-            self.sacked = self.sacked.split_off(&ack.cum_ack);
-            self.cum_ack = ack.cum_ack;
-            self.rto_backoff = 0;
-        }
-        let mut highest_sacked = None;
-        for r in &ack.sack {
-            for s in r.iter() {
-                if s >= self.cum_ack && self.sacked.insert(s) {
-                    newly_delivered += 1;
-                }
-                highest_sacked = Some(highest_sacked.map_or(s, |h: u32| h.max(s)));
-            }
-        }
-
-        // SACK loss inference with DUPTHRESH (RFC 6675), as in `tcp.rs`.
-        const DUPTHRESH: usize = 3;
-        let mut new_loss = false;
-        if highest_sacked.is_some() {
-            let lost: Vec<u32> = self
-                .outstanding
-                .keys()
-                .copied()
-                .filter(|s| {
-                    !self.sacked.contains(s) && self.sacked.range((s + 1)..).count() >= DUPTHRESH
-                })
-                .collect();
-            for s in lost {
-                if !self.rtx_queue.contains(&s) {
-                    self.rtx_queue.push_back(s);
-                    new_loss = true;
-                }
-            }
-        }
-        if new_loss && self.cum_ack >= self.recover {
+        self.rtt.sample(now, ack.echo);
+        let acked = self.board.on_ack(ack).len() as u64;
+        let new_loss = self.board.infer_losses(ack) > 0;
+        if new_loss && self.board.cum_ack() >= self.recover {
             self.on_loss_event(false);
         } else {
-            self.grow(now, newly_delivered);
+            self.grow(now, acked);
         }
-
         self.update_rate();
-        self.arm_rto(now);
+        self.board.arm_rto(now, self.rto());
     }
 
     fn update_rate(&mut self) {
-        let r = self.cwnd / self.srtt_s.max(1e-3);
+        let r = self.cwnd / self.rtt.srtt_s.max(1e-3);
         self.rate_pps = r.clamp(self.cfg.min_rate_pps, self.cfg.max_rate_pps);
     }
 
@@ -450,130 +309,19 @@ impl CubicSender {
     /// is declared lost, the window collapses to one packet, RTO backs off
     /// exponentially.
     pub fn on_timer(&mut self, now: SimTime) {
-        let Some(deadline) = self.rto_deadline else {
-            return;
-        };
-        if now < deadline {
-            return;
-        }
-        if let Some((&seq, _)) = self.outstanding.iter().next() {
-            if !self.rtx_queue.contains(&seq) {
-                self.rtx_queue.push_front(seq);
-            }
+        if self.board.fire_rto(now) {
             self.stats.timeouts += 1;
-            self.rto_backoff += 1;
             self.on_loss_event(true);
             self.update_rate();
-            self.next_send = now; // retransmit immediately
+            self.board.arm_rto(now, self.rto());
         }
-        self.arm_rto(now);
-    }
-
-    /// Bytes on the wire for a data segment.
-    pub fn data_wire_bytes(&self) -> usize {
-        self.cfg.header_bytes + self.cfg.payload_bytes as usize
-    }
-}
-
-/// Receiver statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CubicReceiverStats {
-    /// Distinct segments delivered.
-    pub delivered_packets: u64,
-    /// Payload bytes delivered.
-    pub delivered_bytes: u64,
-    /// Duplicates discarded.
-    pub duplicates: u64,
-    /// ACKs emitted.
-    pub acks_sent: u64,
-}
-
-/// The CUBIC receiver: delayed ACKs, immediate SACK on reordering —
-/// byte-for-byte the TCP-SACK receiver contract.
-#[derive(Clone, Debug)]
-pub struct CubicReceiver {
-    flow: FlowId,
-    cfg: CubicConfig,
-    prefix: u32,
-    ooo: BTreeSet<u32>,
-    unacked_data: u32,
-    last_echo: SimTime,
-    stats: CubicReceiverStats,
-}
-
-impl CubicReceiver {
-    /// Create the receiving endpoint.
-    pub fn new(flow: FlowId, cfg: CubicConfig) -> Self {
-        CubicReceiver {
-            flow,
-            cfg,
-            prefix: 0,
-            ooo: BTreeSet::new(),
-            unacked_data: 0,
-            last_echo: SimTime::ZERO,
-            stats: CubicReceiverStats::default(),
-        }
-    }
-
-    /// The flow this endpoint terminates.
-    pub fn flow(&self) -> FlowId {
-        self.flow
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> CubicReceiverStats {
-        self.stats
-    }
-
-    /// Cumulative delivery point.
-    pub fn cum_ack(&self) -> u32 {
-        self.prefix
-    }
-
-    /// Process a data segment; ACK per delayed-ACK policy.
-    pub fn on_data(&mut self, _now: SimTime, data: &CubicData) -> Option<CubicAck> {
-        debug_assert_eq!(data.flow, self.flow);
-        let fresh = data.seq >= self.prefix && self.ooo.insert(data.seq);
-        if fresh {
-            self.stats.delivered_packets += 1;
-            self.stats.delivered_bytes += data.payload_len as u64;
-            while self.ooo.remove(&self.prefix) {
-                self.prefix += 1;
-            }
-        } else {
-            self.stats.duplicates += 1;
-        }
-        self.last_echo = data.sent_at;
-        self.unacked_data += 1;
-        let out_of_order = !self.ooo.is_empty();
-        if out_of_order || self.unacked_data >= self.cfg.delayed_ack_every {
-            Some(self.make_ack())
-        } else {
-            None
-        }
-    }
-
-    fn make_ack(&mut self) -> CubicAck {
-        self.unacked_data = 0;
-        self.stats.acks_sent += 1;
-        let sacked: Vec<u32> = self.ooo.iter().copied().collect();
-        CubicAck {
-            flow: self.flow,
-            cum_ack: self.prefix,
-            sack: compress_ranges(&sacked),
-            echo: self.last_echo,
-        }
-    }
-
-    /// Force a pending delayed ACK out.
-    pub fn flush_ack(&mut self) -> Option<CubicAck> {
-        (self.unacked_data > 0).then(|| self.make_ack())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jtp::packet::SeqRange;
 
     fn sender(total: u32) -> CubicSender {
         CubicSender::new(FlowId(1), total, CubicConfig::default())
@@ -654,7 +402,7 @@ mod tests {
         while s.poll_send(t).is_some() {
             t += SimDuration::from_secs(2);
         }
-        let ack = CubicAck {
+        let ack = TcpAck {
             flow: FlowId(1),
             cum_ack: 1,
             sack: vec![SeqRange { start: 3, end: 8 }],
@@ -663,7 +411,7 @@ mod tests {
         s.on_ack(t, &ack);
         assert_eq!(s.stats().loss_events, 1);
         // More SACK evidence inside the same episode: no second cut.
-        let ack2 = CubicAck {
+        let ack2 = TcpAck {
             flow: FlowId(1),
             cum_ack: 1,
             sack: vec![SeqRange { start: 3, end: 10 }],
@@ -680,7 +428,7 @@ mod tests {
         while s.poll_send(t).is_some() {
             t += SimDuration::from_secs(2);
         }
-        let ack = CubicAck {
+        let ack = TcpAck {
             flow: FlowId(1),
             cum_ack: 2,
             sack: vec![],
@@ -689,22 +437,5 @@ mod tests {
         s.on_ack(t, &ack);
         assert!(s.is_complete());
         assert!(s.poll_send(t + SimDuration::from_secs(1)).is_none());
-    }
-
-    #[test]
-    fn receiver_contract_matches_tcp() {
-        let mut r = CubicReceiver::new(FlowId(1), CubicConfig::default());
-        let d = |seq| CubicData {
-            flow: FlowId(1),
-            seq,
-            sent_at: SimTime::ZERO,
-            payload_len: 800,
-        };
-        assert!(r.on_data(SimTime::ZERO, &d(0)).is_none(), "first: delayed");
-        let ack = r.on_data(SimTime::ZERO, &d(2)).expect("gap => immediate");
-        assert_eq!(ack.cum_ack, 1);
-        assert_eq!(ack.sack, vec![SeqRange::single(2)]);
-        let flushed = r.flush_ack();
-        assert!(flushed.is_none(), "ack already emitted");
     }
 }

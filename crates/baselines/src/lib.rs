@@ -23,6 +23,10 @@
 //!   path model, Startup→Drain→ProbeBw pacing-gain cycling, inflight
 //!   capped at `cwnd_gain × BDP`; loss does not modulate the rate.
 //!
+//! TCP, CUBIC and BBR share one SACK core, [`sack`]: the TCP wire format,
+//! one delayed-ACK receiver and one sender scoreboard with RFC 6675 loss
+//! inference and an RTO. Each sender adds only its congestion reaction.
+//!
 //! All four support only 100 %-reliability transfers (0 % loss
 //! tolerance), so the cross-protocol experiments use bulk transfers with
 //! full reliability, as in the paper. None uses in-network caching or
@@ -35,9 +39,11 @@
 pub mod atp;
 pub mod bbr;
 pub mod cubic;
+pub mod sack;
 pub mod tcp;
 
 pub use atp::{AtpConfig, AtpFeedback, AtpReceiver, AtpSender};
-pub use bbr::{BbrAck, BbrConfig, BbrData, BbrPhase, BbrReceiver, BbrSender};
-pub use cubic::{CubicAck, CubicConfig, CubicData, CubicReceiver, CubicSender};
-pub use tcp::{TcpAck, TcpConfig, TcpReceiver, TcpSender};
+pub use bbr::{BbrConfig, BbrPhase, BbrSender};
+pub use cubic::{CubicConfig, CubicSender};
+pub use sack::{TcpAck, TcpData, TcpReceiver};
+pub use tcp::{TcpConfig, TcpSender};

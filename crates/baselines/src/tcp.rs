@@ -11,26 +11,21 @@
 //!
 //! with `b = 2` (delayed ACKs, one per two packets) and `p` the loss-event
 //! rate the sender measures. Reliability is full: the receiver reports
-//! gaps via SACK blocks; the sender keeps a scoreboard, selectively
-//! retransmits SACK-inferred losses, and falls back to an RTO with
-//! exponential back-off for tail losses. All recovery is end-to-end — this
+//! gaps via SACK blocks; the sender keeps the SACK scoreboard of
+//! [`crate::sack`], selectively retransmits SACK-inferred losses, and falls
+//! back to an RTO with exponential back-off for tail losses. All recovery is end-to-end — this
 //! is exactly what makes TCP pay `H` extra hops of energy per loss in the
 //! paper's analysis.
 
-use jtp::packet::{compress_ranges, SeqRange};
+use crate::sack::{SackScoreboard, SmoothedRtt, TcpAck, TcpData};
 use jtp_sim::stats::Ewma;
 use jtp_sim::{FlowId, SimDuration, SimTime};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// TCP baseline configuration.
 #[derive(Clone, Debug)]
 pub struct TcpConfig {
     /// Application payload bytes per segment (matching JTP's 800).
     pub payload_bytes: u16,
-    /// IP+TCP header bytes on data segments.
-    pub header_bytes: usize,
-    /// Bytes of a pure ACK (IP+TCP+SACK option).
-    pub ack_bytes: usize,
     /// Delayed-ACK factor `b` (one ACK per `b` segments).
     pub delayed_ack_every: u32,
     /// Rate bounds (pps).
@@ -49,8 +44,6 @@ impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
             payload_bytes: 800,
-            header_bytes: 40,
-            ack_bytes: 52,
             delayed_ack_every: 2,
             min_rate_pps: 0.1,
             max_rate_pps: 50.0,
@@ -59,32 +52,6 @@ impl Default for TcpConfig {
             loss_alpha: 0.1,
         }
     }
-}
-
-/// A TCP data segment (simulation representation).
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct TcpData {
-    /// Flow id.
-    pub flow: FlowId,
-    /// Segment sequence number (packet-granularity).
-    pub seq: u32,
-    /// Timestamp option: when the segment left the sender.
-    pub sent_at: SimTime,
-    /// Payload bytes.
-    pub payload_len: u16,
-}
-
-/// A TCP acknowledgment with SACK blocks.
-#[derive(Clone, PartialEq, Debug)]
-pub struct TcpAck {
-    /// Flow id.
-    pub flow: FlowId,
-    /// Cumulative ACK: everything below is delivered.
-    pub cum_ack: u32,
-    /// SACK blocks above the cumulative ACK.
-    pub sack: Vec<SeqRange>,
-    /// Echoed timestamp of the newest data that triggered this ACK.
-    pub echo: SimTime,
 }
 
 /// Padhye et al. steady-state TCP throughput in packets/second.
@@ -116,44 +83,23 @@ pub struct TcpSenderStats {
 pub struct TcpSender {
     flow: FlowId,
     cfg: TcpConfig,
-    total: u32,
-    next_seq: u32,
-    cum_ack: u32,
     /// Outstanding segments and when they were (last) sent.
-    outstanding: BTreeMap<u32, SimTime>,
-    sacked: BTreeSet<u32>,
-    rtx_queue: VecDeque<u32>,
-    srtt_s: f64,
-    rttvar_s: f64,
-    have_rtt: bool,
+    board: SackScoreboard<SimTime>,
+    rtt: SmoothedRtt,
     loss: Ewma,
     rate_pps: f64,
-    next_send: SimTime,
-    rto_deadline: Option<SimTime>,
-    rto_backoff: u32,
     stats: TcpSenderStats,
 }
 
 impl TcpSender {
     /// Create a source transferring `total` segments.
     pub fn new(flow: FlowId, total: u32, cfg: TcpConfig) -> Self {
-        let srtt = cfg.initial_rtt.as_secs_f64();
         TcpSender {
             flow,
-            total,
-            next_seq: 0,
-            cum_ack: 0,
-            outstanding: BTreeMap::new(),
-            sacked: BTreeSet::new(),
-            rtx_queue: VecDeque::new(),
-            srtt_s: srtt,
-            rttvar_s: srtt / 2.0,
-            have_rtt: false,
+            board: SackScoreboard::new(total),
+            rtt: SmoothedRtt::new(cfg.initial_rtt),
             loss: Ewma::new(cfg.loss_alpha),
             rate_pps: 1.0,
-            next_send: SimTime::ZERO,
-            rto_deadline: None,
-            rto_backoff: 0,
             stats: TcpSenderStats::default(),
             cfg,
         }
@@ -171,7 +117,7 @@ impl TcpSender {
 
     /// Everything delivered?
     pub fn is_complete(&self) -> bool {
-        self.cum_ack >= self.total
+        self.board.is_complete()
     }
 
     /// Counter snapshot.
@@ -181,52 +127,22 @@ impl TcpSender {
 
     /// Current retransmission timeout.
     fn rto(&self) -> SimDuration {
-        let base = self.srtt_s + 4.0 * self.rttvar_s;
-        let backed = base * (1u64 << self.rto_backoff.min(6)) as f64;
-        SimDuration::from_secs_f64(backed).max(self.cfg.rto_min)
-    }
-
-    fn arm_rto(&mut self, now: SimTime) {
-        self.rto_deadline = if self.outstanding.is_empty() {
-            None
-        } else {
-            Some(now + self.rto())
-        };
-    }
-
-    fn has_backlog(&self) -> bool {
-        !self.rtx_queue.is_empty() || self.next_seq < self.total
+        self.board.rto(self.rtt.rto_base_s(), self.cfg.rto_min)
     }
 
     /// Emit at most one segment if pacing allows.
     pub fn poll_send(&mut self, now: SimTime) -> Option<TcpData> {
-        if now < self.next_send || !self.has_backlog() {
+        if !self.board.ready(now) {
             return None;
         }
         let gap = SimDuration::from_secs_f64(1.0 / self.rate_pps.max(self.cfg.min_rate_pps));
-        let seq = loop {
-            match self.rtx_queue.pop_front() {
-                Some(s) if s >= self.cum_ack && !self.sacked.contains(&s) => {
-                    self.stats.retransmissions += 1;
-                    break Some(s);
-                }
-                Some(_) => continue, // stale entry
-                None => break None,
-            }
+        let (seq, rtx) = self.board.pick(|_| true)?;
+        if rtx {
+            self.stats.retransmissions += 1;
+        } else {
+            self.stats.fresh_sent += 1;
         }
-        .or_else(|| {
-            (self.next_seq < self.total).then(|| {
-                let s = self.next_seq;
-                self.next_seq += 1;
-                self.stats.fresh_sent += 1;
-                s
-            })
-        })?;
-        self.outstanding.insert(seq, now);
-        if self.rto_deadline.is_none() {
-            self.arm_rto(now);
-        }
-        self.next_send = now + gap;
+        self.board.sent(now, seq, now, gap, self.rto());
         Some(TcpData {
             flow: self.flow,
             seq,
@@ -237,92 +153,30 @@ impl TcpSender {
 
     /// Next instant the sender wants attention (pacing or RTO).
     pub fn next_wakeup(&self) -> Option<SimTime> {
-        let pacing = self.has_backlog().then_some(self.next_send);
-        match (pacing, self.rto_deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        self.board.next_wakeup()
     }
 
-    /// Process an acknowledgment.
+    /// Process an acknowledgment: each newly acknowledged segment is a
+    /// loss-free sample of the loss EWMA, each newly inferred loss a lossy
+    /// one.
     pub fn on_ack(&mut self, now: SimTime, ack: &TcpAck) {
         debug_assert_eq!(ack.flow, self.flow);
         self.stats.acks_received += 1;
-
-        // RTT sample from the echoed timestamp (Karn-safe because the echo
-        // is the original transmit time of the acked segment).
-        let sample = now.since(ack.echo).as_secs_f64();
-        if sample > 0.0 {
-            if self.have_rtt {
-                let err = sample - self.srtt_s;
-                self.srtt_s += 0.125 * err;
-                self.rttvar_s += 0.25 * (err.abs() - self.rttvar_s);
-            } else {
-                self.srtt_s = sample;
-                self.rttvar_s = sample / 2.0;
-                self.have_rtt = true;
-            }
-        }
-
-        let mut newly_delivered = 0u64;
-        if ack.cum_ack > self.cum_ack {
-            let freed: Vec<u32> = self
-                .outstanding
-                .range(..ack.cum_ack)
-                .map(|(&s, _)| s)
-                .collect();
-            newly_delivered += freed.len() as u64;
-            for s in freed {
-                self.outstanding.remove(&s);
-            }
-            self.sacked = self.sacked.split_off(&ack.cum_ack);
-            self.cum_ack = ack.cum_ack;
-            self.rto_backoff = 0;
-        }
-        let mut highest_sacked = None;
-        for r in &ack.sack {
-            for s in r.iter() {
-                if s >= self.cum_ack && self.sacked.insert(s) {
-                    newly_delivered += 1;
-                }
-                highest_sacked = Some(highest_sacked.map_or(s, |h: u32| h.max(s)));
-            }
-        }
-        for _ in 0..newly_delivered {
+        self.rtt.sample(now, ack.echo);
+        for _ in 0..self.board.on_ack(ack).len() {
             self.loss.update(0.0);
         }
-
-        // SACK-based loss inference with a duplicate threshold (RFC 6675):
-        // an outstanding segment is presumed lost only once at least
-        // DUPTHRESH higher segments have been SACKed — plain "below the
-        // highest SACK" misfires on mild reordering and floods the path
-        // with spurious retransmissions.
-        const DUPTHRESH: usize = 3;
-        if highest_sacked.is_some() {
-            let lost: Vec<u32> = self
-                .outstanding
-                .keys()
-                .copied()
-                .filter(|s| {
-                    !self.sacked.contains(s) && self.sacked.range((s + 1)..).count() >= DUPTHRESH
-                })
-                .collect();
-            for s in lost {
-                if !self.rtx_queue.contains(&s) {
-                    self.rtx_queue.push_back(s);
-                    self.loss.update(1.0);
-                }
-            }
+        for _ in 0..self.board.infer_losses(ack) {
+            self.loss.update(1.0);
         }
-
         self.update_rate();
-        self.arm_rto(now);
+        self.board.arm_rto(now, self.rto());
     }
 
     fn update_rate(&mut self) {
         let p = self.loss.get_or(0.0).clamp(0.0, 1.0);
         let r = padhye_rate_pps(
-            self.srtt_s,
+            self.rtt.srtt_s,
             self.rto().as_secs_f64(),
             p,
             self.cfg.delayed_ack_every as f64,
@@ -333,139 +187,27 @@ impl TcpSender {
     /// Fire the retransmission timer if due: earliest outstanding segment
     /// is declared lost, rate collapses, RTO backs off exponentially.
     pub fn on_timer(&mut self, now: SimTime) {
-        let Some(deadline) = self.rto_deadline else {
-            return;
-        };
-        if now < deadline {
-            return;
-        }
-        if let Some((&seq, _)) = self.outstanding.iter().next() {
-            if !self.rtx_queue.contains(&seq) {
-                self.rtx_queue.push_front(seq);
-            }
+        if self.board.fire_rto(now) {
             self.loss.update(1.0);
             self.stats.timeouts += 1;
-            self.rto_backoff += 1;
             self.update_rate();
-            self.next_send = now; // retransmit immediately
+            self.board.arm_rto(now, self.rto());
         }
-        self.arm_rto(now);
-    }
-
-    /// Bytes on the wire for a data segment.
-    pub fn data_wire_bytes(&self) -> usize {
-        self.cfg.header_bytes + self.cfg.payload_bytes as usize
-    }
-}
-
-/// Receiver statistics.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct TcpReceiverStats {
-    /// Distinct segments delivered.
-    pub delivered_packets: u64,
-    /// Payload bytes delivered.
-    pub delivered_bytes: u64,
-    /// Duplicates discarded.
-    pub duplicates: u64,
-    /// ACKs emitted.
-    pub acks_sent: u64,
-}
-
-/// The TCP-SACK receiver with delayed ACKs.
-#[derive(Clone, Debug)]
-pub struct TcpReceiver {
-    flow: FlowId,
-    cfg: TcpConfig,
-    prefix: u32,
-    ooo: BTreeSet<u32>,
-    unacked_data: u32,
-    last_echo: SimTime,
-    stats: TcpReceiverStats,
-}
-
-impl TcpReceiver {
-    /// Create the receiving endpoint.
-    pub fn new(flow: FlowId, cfg: TcpConfig) -> Self {
-        TcpReceiver {
-            flow,
-            cfg,
-            prefix: 0,
-            ooo: BTreeSet::new(),
-            unacked_data: 0,
-            last_echo: SimTime::ZERO,
-            stats: TcpReceiverStats::default(),
-        }
-    }
-
-    /// The flow this endpoint terminates.
-    pub fn flow(&self) -> FlowId {
-        self.flow
-    }
-
-    /// Counter snapshot.
-    pub fn stats(&self) -> TcpReceiverStats {
-        self.stats
-    }
-
-    /// Cumulative delivery point.
-    pub fn cum_ack(&self) -> u32 {
-        self.prefix
-    }
-
-    /// Process a data segment; returns an ACK when delayed-ACK policy says
-    /// to emit one (every `b` segments, or immediately on out-of-order
-    /// data, the standard fast-retransmit enabler).
-    pub fn on_data(&mut self, _now: SimTime, data: &TcpData) -> Option<TcpAck> {
-        debug_assert_eq!(data.flow, self.flow);
-        let fresh = data.seq >= self.prefix && self.ooo.insert(data.seq);
-        if fresh {
-            self.stats.delivered_packets += 1;
-            self.stats.delivered_bytes += data.payload_len as u64;
-            while self.ooo.remove(&self.prefix) {
-                self.prefix += 1;
-            }
-        } else {
-            self.stats.duplicates += 1;
-        }
-        self.last_echo = data.sent_at;
-        self.unacked_data += 1;
-        let out_of_order = !self.ooo.is_empty();
-        if out_of_order || self.unacked_data >= self.cfg.delayed_ack_every {
-            Some(self.make_ack())
-        } else {
-            None
-        }
-    }
-
-    fn make_ack(&mut self) -> TcpAck {
-        self.unacked_data = 0;
-        self.stats.acks_sent += 1;
-        let sacked: Vec<u32> = self.ooo.iter().copied().collect();
-        TcpAck {
-            flow: self.flow,
-            cum_ack: self.prefix,
-            sack: compress_ranges(&sacked),
-            echo: self.last_echo,
-        }
-    }
-
-    /// Force an ACK out (delayed-ACK timer in real stacks; the assembly
-    /// calls this periodically so a tail segment is never stranded).
-    pub fn flush_ack(&mut self) -> Option<TcpAck> {
-        (self.unacked_data > 0).then(|| self.make_ack())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sack::TcpReceiver;
+    use jtp::packet::SeqRange;
 
     fn sender(total: u32) -> TcpSender {
         TcpSender::new(FlowId(1), total, TcpConfig::default())
     }
 
     fn receiver() -> TcpReceiver {
-        TcpReceiver::new(FlowId(1), TcpConfig::default())
+        TcpReceiver::new(FlowId(1), TcpConfig::default().delayed_ack_every)
     }
 
     #[test]
@@ -511,6 +253,7 @@ mod tests {
         let ack = r.on_data(SimTime::ZERO, &d(2)).expect("gap => immediate");
         assert_eq!(ack.cum_ack, 1);
         assert_eq!(ack.sack, vec![SeqRange::single(2)]);
+        assert!(r.flush_ack().is_none(), "ack already emitted");
     }
 
     #[test]
@@ -640,6 +383,6 @@ mod tests {
             echo: t0,
         };
         s.on_ack(SimTime::from_millis(800), &ack);
-        assert!((s.srtt_s - 0.8).abs() < 1e-9);
+        assert!((s.rtt.srtt_s - 0.8).abs() < 1e-9);
     }
 }

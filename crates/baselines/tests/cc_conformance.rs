@@ -25,7 +25,7 @@
 use jtp::packet::SeqRange;
 use jtp_baselines::bbr::{self, BbrConfig, BbrPhase, BbrSender};
 use jtp_baselines::cubic::{cubic_k, w_cubic, w_est, CubicConfig, CubicSender};
-use jtp_baselines::{BbrAck, BbrReceiver, CubicAck, CubicReceiver};
+use jtp_baselines::{TcpAck, TcpReceiver};
 use jtp_sim::{FlowId, SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -66,7 +66,7 @@ macro_rules! link_harness {
             }
             let flow = FlowId(1);
             let mut s = <$Sender>::new(flow, total, cfg.clone());
-            let mut r = <$Receiver>::new(flow, cfg);
+            let mut r = <$Receiver>::new(flow, cfg.delayed_ack_every);
             let half = SimDuration::from_micros(rtt.as_micros() / 2);
             let flush_delay = SimDuration::from_millis(200);
             let mut q: Vec<(SimTime, u64, Ev)> = Vec::new();
@@ -143,18 +143,18 @@ macro_rules! link_harness {
 link_harness!(
     run_cubic,
     CubicSender,
-    CubicReceiver,
+    TcpReceiver,
     CubicConfig,
-    jtp_baselines::CubicData,
-    CubicAck
+    jtp_baselines::TcpData,
+    TcpAck
 );
 link_harness!(
     run_bbr,
     BbrSender,
-    BbrReceiver,
+    TcpReceiver,
     BbrConfig,
-    jtp_baselines::BbrData,
-    BbrAck
+    jtp_baselines::TcpData,
+    TcpAck
 );
 
 /// Poll a scripted sender until `n` segments left, stepping time in 250 ms
@@ -232,7 +232,7 @@ fn cubic_loss_episodes_pin_w_max_ssthresh_and_k() {
     pump_cubic(&mut s, &mut t, 10);
     let echo = t;
     t += SimDuration::from_millis(250);
-    let ack = |cum, sack: Vec<SeqRange>, echo| CubicAck {
+    let ack = |cum, sack: Vec<SeqRange>, echo| TcpAck {
         flow: FlowId(1),
         cum_ack: cum,
         sack,
@@ -336,7 +336,7 @@ fn bbr_filter_math_is_exact() {
     let now = SimTime::from_secs_f64(2.0);
     s.on_ack(
         now,
-        &BbrAck {
+        &TcpAck {
             flow: FlowId(1),
             cum_ack: 2,
             sack: vec![],

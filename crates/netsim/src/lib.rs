@@ -33,6 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod config;
+mod endpoint;
 pub mod fuzz;
 pub mod metrics;
 pub mod network;

@@ -50,6 +50,7 @@ use crate::config::{
     ConfigError, DynamicsAction, DynamicsEvent, EnergyRoutingConfig, ExperimentConfig,
     MobilityConfig, RoutingBackendKind, TopologyKind, TransportKind,
 };
+use crate::endpoint::{Receiver, Sender};
 use crate::metrics::{FlowMetrics, Metrics};
 use crate::payload::{Payload, TransportPacket};
 use crate::topology::{
@@ -59,13 +60,14 @@ use crate::trace::{TraceConfig, TraceLog, TraceSubscriber};
 use crate::truth::MaskedTruth;
 use jtp::{IjtpModule, JtpReceiver, JtpSender, LinkInfo, PreXmitVerdict};
 use jtp_baselines::atp::{AtpReceiver, AtpSender};
-use jtp_baselines::bbr::{BbrReceiver, BbrSender};
-use jtp_baselines::cubic::{CubicReceiver, CubicSender};
-use jtp_baselines::tcp::{TcpReceiver, TcpSender};
+use jtp_baselines::bbr::BbrSender;
+use jtp_baselines::cubic::CubicSender;
+use jtp_baselines::sack::TcpReceiver;
+use jtp_baselines::tcp::TcpSender;
 use jtp_events::{
     AttemptBudget, BatteryDeath, Delivery, DropCause, DynamicsApplied, FloodCause, FloodEnd,
-    FloodStart, MonitorUpdate, NoopSubscriber, PacketDrop, PacketKind, PacketSend, SlotGrant,
-    Subscriber, Subsystem,
+    FloodStart, NoopSubscriber, PacketDrop, PacketKind, PacketSend, SlotGrant, Subscriber,
+    Subsystem,
 };
 use jtp_mac::{Frame, FrameKind, NodeMac, SleepSchedule, SlotOutcome, TdmaSchedule};
 use jtp_phys::energy::EnergyCategory;
@@ -209,22 +211,14 @@ pub enum Event {
     EnergyAdvert,
 }
 
-/// Transport endpoints of a flow.
-enum Endpoints {
-    Jtp(Box<JtpSender>, Box<JtpReceiver>),
-    Tcp(Box<TcpSender>, Box<TcpReceiver>),
-    Atp(Box<AtpSender>, Box<AtpReceiver>),
-    Cubic(Box<CubicSender>, Box<CubicReceiver>),
-    Bbr(Box<BbrSender>, Box<BbrReceiver>),
-}
-
 struct Flow {
     id: FlowId,
     src: NodeId,
     dst: NodeId,
     start: SimTime,
     offered_packets: u32,
-    endpoints: Endpoints,
+    sender: Sender,
+    receiver: Receiver,
     started: bool,
     completed_at: Option<SimTime>,
     /// The single pending sender wakeup, if any: (handle, fire time).
@@ -480,37 +474,41 @@ impl<S: Subscriber> Network<S> {
             .enumerate()
             .map(|(i, spec)| {
                 let id = FlowId(i as u16);
-                let endpoints = match cfg.transport {
+                let (sender, receiver) = match cfg.transport {
                     TransportKind::Jtp | TransportKind::Jnc => {
                         let mut fc = jtp_cfg.clone();
                         if let Some(r) = spec.initial_rate_pps {
                             fc.initial_rate_pps = r.clamp(fc.min_rate_pps, fc.max_rate_pps);
                         }
-                        Endpoints::Jtp(
-                            Box::new(JtpSender::new(
+                        (
+                            Sender::Jtp(Box::new(JtpSender::new(
                                 id,
                                 spec.packets,
                                 spec.loss_tolerance,
                                 fc.clone(),
-                            )),
-                            Box::new(JtpReceiver::new(id, spec.loss_tolerance, fc)),
+                            ))),
+                            Receiver::Jtp(Box::new(JtpReceiver::new(id, spec.loss_tolerance, fc))),
                         )
                     }
-                    TransportKind::Tcp => Endpoints::Tcp(
-                        Box::new(TcpSender::new(id, spec.packets, tcp_cfg.clone())),
-                        Box::new(TcpReceiver::new(id, tcp_cfg.clone())),
+                    TransportKind::Tcp => (
+                        Sender::Tcp(Box::new(TcpSender::new(id, spec.packets, tcp_cfg.clone()))),
+                        Receiver::Sack(Box::new(TcpReceiver::new(id, tcp_cfg.delayed_ack_every))),
                     ),
-                    TransportKind::Atp => Endpoints::Atp(
-                        Box::new(AtpSender::new(id, spec.packets, atp_cfg.clone())),
-                        Box::new(AtpReceiver::new(id, atp_cfg.clone())),
+                    TransportKind::Atp => (
+                        Sender::Atp(Box::new(AtpSender::new(id, spec.packets, atp_cfg.clone()))),
+                        Receiver::Atp(Box::new(AtpReceiver::new(id, atp_cfg.clone()))),
                     ),
-                    TransportKind::Cubic => Endpoints::Cubic(
-                        Box::new(CubicSender::new(id, spec.packets, cubic_cfg.clone())),
-                        Box::new(CubicReceiver::new(id, cubic_cfg.clone())),
+                    TransportKind::Cubic => (
+                        Sender::Cubic(Box::new(CubicSender::new(
+                            id,
+                            spec.packets,
+                            cubic_cfg.clone(),
+                        ))),
+                        Receiver::Sack(Box::new(TcpReceiver::new(id, cubic_cfg.delayed_ack_every))),
                     ),
-                    TransportKind::Bbr => Endpoints::Bbr(
-                        Box::new(BbrSender::new(id, spec.packets, bbr_cfg.clone())),
-                        Box::new(BbrReceiver::new(id, bbr_cfg.clone())),
+                    TransportKind::Bbr => (
+                        Sender::Bbr(Box::new(BbrSender::new(id, spec.packets, bbr_cfg.clone()))),
+                        Receiver::Sack(Box::new(TcpReceiver::new(id, bbr_cfg.delayed_ack_every))),
                     ),
                 };
                 Flow {
@@ -519,7 +517,8 @@ impl<S: Subscriber> Network<S> {
                     dst: spec.dst,
                     start: SimTime::ZERO + spec.start,
                     offered_packets: spec.packets,
-                    endpoints,
+                    sender,
+                    receiver,
                     started: false,
                     completed_at: None,
                     wakeup: None,
@@ -1549,227 +1548,38 @@ impl<S: Subscriber> Network<S> {
         } else {
             0
         };
-        match tp.payload {
-            Payload::JtpData(d) => {
-                let (fresh, early, monitor) = {
-                    let Endpoints::Jtp(_, rx) = &mut self.flows[fi].endpoints else {
-                        return;
-                    };
-                    let before = rx.stats().delivered_packets;
-                    let early = rx.on_data(now, &d);
-                    let fresh = rx.stats().delivered_packets > before;
-                    let monitor = rx.rate_monitor_state();
-                    (fresh, early, monitor)
-                };
-                if S::ENABLED {
-                    let ev = Delivery {
-                        flow: fid,
-                        node: here,
-                        bytes: wire_bytes,
-                        fresh,
-                    };
-                    self.sub.on_delivery(now, &ev);
-                    if let Some((lcl, mean, ucl)) = monitor {
-                        let ev = MonitorUpdate {
-                            flow: fid,
-                            reported: d.rate_pps as f64,
-                            mean,
-                            lcl,
-                            ucl,
-                        };
-                        self.sub.on_monitor(now, &ev);
-                    }
-                }
-                if let Some(ack) = early {
-                    let back_to = self.flows[fi].src;
-                    self.forward_from(
-                        now,
-                        here,
-                        TransportPacket {
-                            src_end: here,
-                            dst_end: back_to,
-                            payload: Payload::JtpAck(ack),
-                        },
-                    );
-                }
+        if tp.payload.kind() == FrameKind::Ack {
+            let complete = self.flows[fi].sender.on_feedback(now, &tp.payload);
+            if complete {
+                self.mark_completed(fi, now);
             }
-            Payload::JtpAck(a) => {
-                let complete = {
-                    let Endpoints::Jtp(tx, _) = &mut self.flows[fi].endpoints else {
-                        return;
-                    };
-                    tx.on_ack(now, &a);
-                    tx.is_complete()
-                };
-                if complete {
-                    self.mark_completed(fi, now);
-                }
-                self.request_wakeup(fi, now, q);
+            self.request_wakeup(fi, now, q);
+            return;
+        }
+        let (fresh, feedback, monitor) = self.flows[fi].receiver.on_data(now, &tp.payload);
+        if S::ENABLED {
+            let ev = Delivery {
+                flow: fid,
+                node: here,
+                bytes: wire_bytes,
+                fresh,
+            };
+            self.sub.on_delivery(now, &ev);
+            if let Some(ev) = monitor {
+                self.sub.on_monitor(now, &ev);
             }
-            Payload::TcpData(d) => {
-                let (fresh, ack) = {
-                    let Endpoints::Tcp(_, rx) = &mut self.flows[fi].endpoints else {
-                        return;
-                    };
-                    let before = rx.stats().delivered_packets;
-                    let ack = rx.on_data(now, &d);
-                    (rx.stats().delivered_packets > before, ack)
-                };
-                if S::ENABLED {
-                    let ev = Delivery {
-                        flow: fid,
-                        node: here,
-                        bytes: wire_bytes,
-                        fresh,
-                    };
-                    self.sub.on_delivery(now, &ev);
-                }
-                if let Some(ack) = ack {
-                    let back_to = self.flows[fi].src;
-                    self.forward_from(
-                        now,
-                        here,
-                        TransportPacket {
-                            src_end: here,
-                            dst_end: back_to,
-                            payload: Payload::TcpAck(ack),
-                        },
-                    );
-                }
-            }
-            Payload::TcpAck(a) => {
-                let complete = {
-                    let Endpoints::Tcp(tx, _) = &mut self.flows[fi].endpoints else {
-                        return;
-                    };
-                    tx.on_ack(now, &a);
-                    tx.is_complete()
-                };
-                if complete {
-                    self.mark_completed(fi, now);
-                }
-                self.request_wakeup(fi, now, q);
-            }
-            Payload::AtpData(d) => {
-                let fresh = {
-                    let Endpoints::Atp(_, rx) = &mut self.flows[fi].endpoints else {
-                        return;
-                    };
-                    let before = rx.stats().delivered_packets;
-                    rx.on_data(now, &d);
-                    rx.stats().delivered_packets > before
-                };
-                if S::ENABLED {
-                    let ev = Delivery {
-                        flow: fid,
-                        node: here,
-                        bytes: wire_bytes,
-                        fresh,
-                    };
-                    self.sub.on_delivery(now, &ev);
-                }
-            }
-            Payload::AtpFeedback(fb) => {
-                let complete = {
-                    let Endpoints::Atp(tx, _) = &mut self.flows[fi].endpoints else {
-                        return;
-                    };
-                    tx.on_feedback(now, &fb);
-                    tx.is_complete()
-                };
-                if complete {
-                    self.mark_completed(fi, now);
-                }
-                self.request_wakeup(fi, now, q);
-            }
-            Payload::CubicData(d) => {
-                let (fresh, ack) = {
-                    let Endpoints::Cubic(_, rx) = &mut self.flows[fi].endpoints else {
-                        return;
-                    };
-                    let before = rx.stats().delivered_packets;
-                    let ack = rx.on_data(now, &d);
-                    (rx.stats().delivered_packets > before, ack)
-                };
-                if S::ENABLED {
-                    let ev = Delivery {
-                        flow: fid,
-                        node: here,
-                        bytes: wire_bytes,
-                        fresh,
-                    };
-                    self.sub.on_delivery(now, &ev);
-                }
-                if let Some(ack) = ack {
-                    let back_to = self.flows[fi].src;
-                    self.forward_from(
-                        now,
-                        here,
-                        TransportPacket {
-                            src_end: here,
-                            dst_end: back_to,
-                            payload: Payload::CubicAck(ack),
-                        },
-                    );
-                }
-            }
-            Payload::CubicAck(a) => {
-                let complete = {
-                    let Endpoints::Cubic(tx, _) = &mut self.flows[fi].endpoints else {
-                        return;
-                    };
-                    tx.on_ack(now, &a);
-                    tx.is_complete()
-                };
-                if complete {
-                    self.mark_completed(fi, now);
-                }
-                self.request_wakeup(fi, now, q);
-            }
-            Payload::BbrData(d) => {
-                let (fresh, ack) = {
-                    let Endpoints::Bbr(_, rx) = &mut self.flows[fi].endpoints else {
-                        return;
-                    };
-                    let before = rx.stats().delivered_packets;
-                    let ack = rx.on_data(now, &d);
-                    (rx.stats().delivered_packets > before, ack)
-                };
-                if S::ENABLED {
-                    let ev = Delivery {
-                        flow: fid,
-                        node: here,
-                        bytes: wire_bytes,
-                        fresh,
-                    };
-                    self.sub.on_delivery(now, &ev);
-                }
-                if let Some(ack) = ack {
-                    let back_to = self.flows[fi].src;
-                    self.forward_from(
-                        now,
-                        here,
-                        TransportPacket {
-                            src_end: here,
-                            dst_end: back_to,
-                            payload: Payload::BbrAck(ack),
-                        },
-                    );
-                }
-            }
-            Payload::BbrAck(a) => {
-                let complete = {
-                    let Endpoints::Bbr(tx, _) = &mut self.flows[fi].endpoints else {
-                        return;
-                    };
-                    tx.on_ack(now, &a);
-                    tx.is_complete()
-                };
-                if complete {
-                    self.mark_completed(fi, now);
-                }
-                self.request_wakeup(fi, now, q);
-            }
+        }
+        if let Some(p) = feedback {
+            let back_to = self.flows[fi].src;
+            self.forward_from(
+                now,
+                here,
+                TransportPacket {
+                    src_end: here,
+                    dst_end: back_to,
+                    payload: p,
+                },
+            );
         }
     }
 
@@ -1808,43 +1618,7 @@ impl<S: Subscriber> Network<S> {
         }
         let (src, dst) = (self.flows[fi].src, self.flows[fi].dst);
         let mut outgoing: Vec<Payload> = Vec::new();
-        let next_wakeup: Option<SimTime> = match &mut self.flows[fi].endpoints {
-            Endpoints::Jtp(tx, _) => {
-                tx.on_feedback_timeout(now);
-                while let Some(p) = tx.poll_send(now) {
-                    outgoing.push(Payload::JtpData(p));
-                }
-                Some(tx.next_wakeup())
-            }
-            Endpoints::Tcp(tx, _) => {
-                tx.on_timer(now);
-                while let Some(p) = tx.poll_send(now) {
-                    outgoing.push(Payload::TcpData(p));
-                }
-                tx.next_wakeup()
-            }
-            Endpoints::Atp(tx, _) => {
-                tx.on_timer(now);
-                while let Some(p) = tx.poll_send(now) {
-                    outgoing.push(Payload::AtpData(p));
-                }
-                Some(tx.next_wakeup())
-            }
-            Endpoints::Cubic(tx, _) => {
-                tx.on_timer(now);
-                while let Some(p) = tx.poll_send(now) {
-                    outgoing.push(Payload::CubicData(p));
-                }
-                tx.next_wakeup()
-            }
-            Endpoints::Bbr(tx, _) => {
-                tx.on_timer(now);
-                while let Some(p) = tx.poll_send(now) {
-                    outgoing.push(Payload::BbrData(p));
-                }
-                tx.next_wakeup()
-            }
-        };
+        let next_wakeup = self.flows[fi].sender.on_wakeup(now, &mut outgoing);
         for p in outgoing {
             self.forward_from(
                 now,
@@ -1870,39 +1644,7 @@ impl<S: Subscriber> Network<S> {
             return;
         }
         let (src, dst) = (self.flows[fi].src, self.flows[fi].dst);
-        let mut feedback: Option<Payload> = None;
-        let next_at: SimTime = match &mut self.flows[fi].endpoints {
-            Endpoints::Jtp(_, rx) => {
-                if now >= rx.next_feedback_at() {
-                    feedback = Some(Payload::JtpAck(rx.poll_feedback(now)));
-                }
-                rx.next_feedback_at()
-            }
-            Endpoints::Tcp(_, rx) => {
-                if let Some(ack) = rx.flush_ack() {
-                    feedback = Some(Payload::TcpAck(ack));
-                }
-                now + self.tcp_ack_flush
-            }
-            Endpoints::Atp(_, rx) => {
-                if now >= rx.next_feedback_at() {
-                    feedback = Some(Payload::AtpFeedback(rx.poll_feedback(now)));
-                }
-                rx.next_feedback_at()
-            }
-            Endpoints::Cubic(_, rx) => {
-                if let Some(ack) = rx.flush_ack() {
-                    feedback = Some(Payload::CubicAck(ack));
-                }
-                now + self.tcp_ack_flush
-            }
-            Endpoints::Bbr(_, rx) => {
-                if let Some(ack) = rx.flush_ack() {
-                    feedback = Some(Payload::BbrAck(ack));
-                }
-                now + self.tcp_ack_flush
-            }
-        };
+        let (feedback, next_at) = self.flows[fi].receiver.on_timer(now, self.tcp_ack_flush);
         if let Some(p) = feedback {
             // Feedback travels receiver -> sender.
             self.forward_from(
@@ -1996,77 +1738,18 @@ impl<S: Subscriber> Network<S> {
         for f in &self.flows {
             let end_time = f.completed_at.unwrap_or(now);
             let active = end_time.since(f.start).as_secs_f64();
-            let fm = match &f.endpoints {
-                Endpoints::Jtp(tx, rx) => {
-                    let (ts, rs) = (tx.stats(), rx.stats());
-                    FlowMetrics {
-                        flow: f.id.0,
-                        delivered_packets: rs.delivered_packets,
-                        delivered_bytes: rs.delivered_bytes,
-                        offered_packets: f.offered_packets,
-                        source_retransmissions: ts.source_retransmissions,
-                        locally_recovered: ts.locally_recovered,
-                        feedbacks_sent: rs.feedbacks_sent,
-                        active_time_s: active,
-                        completed: f.completed_at.is_some(),
-                    }
-                }
-                Endpoints::Tcp(tx, rx) => {
-                    let (ts, rs) = (tx.stats(), rx.stats());
-                    FlowMetrics {
-                        flow: f.id.0,
-                        delivered_packets: rs.delivered_packets,
-                        delivered_bytes: rs.delivered_bytes,
-                        offered_packets: f.offered_packets,
-                        source_retransmissions: ts.retransmissions,
-                        locally_recovered: 0,
-                        feedbacks_sent: rs.acks_sent,
-                        active_time_s: active,
-                        completed: f.completed_at.is_some(),
-                    }
-                }
-                Endpoints::Atp(tx, rx) => {
-                    let (ts, rs) = (tx.stats(), rx.stats());
-                    FlowMetrics {
-                        flow: f.id.0,
-                        delivered_packets: rs.delivered_packets,
-                        delivered_bytes: rs.delivered_bytes,
-                        offered_packets: f.offered_packets,
-                        source_retransmissions: ts.retransmissions,
-                        locally_recovered: 0,
-                        feedbacks_sent: rs.feedbacks_sent,
-                        active_time_s: active,
-                        completed: f.completed_at.is_some(),
-                    }
-                }
-                Endpoints::Cubic(tx, rx) => {
-                    let (ts, rs) = (tx.stats(), rx.stats());
-                    FlowMetrics {
-                        flow: f.id.0,
-                        delivered_packets: rs.delivered_packets,
-                        delivered_bytes: rs.delivered_bytes,
-                        offered_packets: f.offered_packets,
-                        source_retransmissions: ts.retransmissions,
-                        locally_recovered: 0,
-                        feedbacks_sent: rs.acks_sent,
-                        active_time_s: active,
-                        completed: f.completed_at.is_some(),
-                    }
-                }
-                Endpoints::Bbr(tx, rx) => {
-                    let (ts, rs) = (tx.stats(), rx.stats());
-                    FlowMetrics {
-                        flow: f.id.0,
-                        delivered_packets: rs.delivered_packets,
-                        delivered_bytes: rs.delivered_bytes,
-                        offered_packets: f.offered_packets,
-                        source_retransmissions: ts.retransmissions,
-                        locally_recovered: 0,
-                        feedbacks_sent: rs.acks_sent,
-                        active_time_s: active,
-                        completed: f.completed_at.is_some(),
-                    }
-                }
+            let (packets, bytes, feedbacks) = f.receiver.deliveries();
+            let (retransmissions, recovered) = f.sender.retransmissions();
+            let fm = FlowMetrics {
+                flow: f.id.0,
+                delivered_packets: packets,
+                delivered_bytes: bytes,
+                offered_packets: f.offered_packets,
+                source_retransmissions: retransmissions,
+                locally_recovered: recovered,
+                feedbacks_sent: feedbacks,
+                active_time_s: active,
+                completed: f.completed_at.is_some(),
             };
             delivered_packets += fm.delivered_packets;
             delivered_bytes += fm.delivered_bytes;

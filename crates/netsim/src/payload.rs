@@ -1,11 +1,10 @@
 //! The routed transport unit: an end-to-end addressed packet whose payload
-//! is one of the three protocols' PDUs.
+//! is one of the three wire formats' PDUs (JTP, TCP-SACK — which CUBIC and
+//! BBR share — and ATP).
 
 use jtp::packet::{AckPacket, DataPacket};
-use jtp_baselines::atp::{AtpData, AtpFeedback};
-use jtp_baselines::bbr::{BbrAck, BbrData};
-use jtp_baselines::cubic::{CubicAck, CubicData};
-use jtp_baselines::tcp::{TcpAck, TcpData};
+use jtp_baselines::atp::{AtpData, AtpFeedback, ATP_FEEDBACK_BYTES, ATP_HEADER_BYTES};
+use jtp_baselines::sack::{TcpAck, TcpData, TCP_ACK_BYTES, TCP_HEADER_BYTES};
 use jtp_mac::FrameKind;
 use jtp_sim::{FlowId, NodeId};
 
@@ -16,22 +15,14 @@ pub enum Payload {
     JtpData(DataPacket),
     /// JTP feedback packet.
     JtpAck(AckPacket),
-    /// TCP data segment.
+    /// TCP data segment (TCP, CUBIC or BBR).
     TcpData(TcpData),
-    /// TCP acknowledgment.
+    /// TCP acknowledgment (TCP, CUBIC or BBR).
     TcpAck(TcpAck),
     /// ATP data packet.
     AtpData(AtpData),
     /// ATP feedback packet.
     AtpFeedback(AtpFeedback),
-    /// CUBIC data segment.
-    CubicData(CubicData),
-    /// CUBIC acknowledgment.
-    CubicAck(CubicAck),
-    /// BBR data segment.
-    BbrData(BbrData),
-    /// BBR acknowledgment.
-    BbrAck(BbrAck),
 }
 
 impl Payload {
@@ -44,21 +35,13 @@ impl Payload {
             Payload::TcpAck(p) => p.flow,
             Payload::AtpData(p) => p.flow,
             Payload::AtpFeedback(p) => p.flow,
-            Payload::CubicData(p) => p.flow,
-            Payload::CubicAck(p) => p.flow,
-            Payload::BbrData(p) => p.flow,
-            Payload::BbrAck(p) => p.flow,
         }
     }
 
     /// Data or feedback, for MAC/energy classification.
     pub fn kind(&self) -> FrameKind {
         match self {
-            Payload::JtpData(_)
-            | Payload::TcpData(_)
-            | Payload::AtpData(_)
-            | Payload::CubicData(_)
-            | Payload::BbrData(_) => FrameKind::Data,
+            Payload::JtpData(_) | Payload::TcpData(_) | Payload::AtpData(_) => FrameKind::Data,
             _ => FrameKind::Ack,
         }
     }
@@ -68,16 +51,10 @@ impl Payload {
         match self {
             Payload::JtpData(p) => p.wire_bytes(),
             Payload::JtpAck(p) => p.wire_bytes(),
-            // IP+TCP header (40 B) on data; ACK carries SACK options.
-            Payload::TcpData(p) => 40 + p.payload_len as usize,
-            Payload::TcpAck(_) => 52,
-            Payload::AtpData(p) => 32 + p.payload_len as usize,
-            Payload::AtpFeedback(_) => 64,
-            // CUBIC and BBR ride the same IP+TCP framing as TCP-SACK.
-            Payload::CubicData(p) => 40 + p.payload_len as usize,
-            Payload::CubicAck(_) => 52,
-            Payload::BbrData(p) => 40 + p.payload_len as usize,
-            Payload::BbrAck(_) => 52,
+            Payload::TcpData(p) => TCP_HEADER_BYTES + p.payload_len as usize,
+            Payload::TcpAck(_) => TCP_ACK_BYTES,
+            Payload::AtpData(p) => ATP_HEADER_BYTES + p.payload_len as usize,
+            Payload::AtpFeedback(_) => ATP_FEEDBACK_BYTES,
         }
     }
 }
