@@ -6,7 +6,7 @@
 //! factor `1/(1−pⁿ)^{H−1}`.
 
 use jtp::analysis::{caching_gain, expected_tx_with_caching, expected_tx_without_caching};
-use jtp_bench::{maybe_write_json, print_table, Args};
+use jtp_bench::{finish, print_table, Args, Claim};
 use jtp_netsim::{run_many, ExperimentConfig, TransportKind};
 use jtp_phys::gilbert::GilbertConfig;
 use serde::Serialize;
@@ -22,8 +22,7 @@ struct Point {
     predicted_gain: f64,
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) -> Vec<Claim> {
     let hop_counts: Vec<u32> = args.pick(vec![2, 4, 6], vec![3]);
     let ps: Vec<f64> = args.pick(vec![0.1, 0.25], vec![0.2]);
     let runs = args.pick(6, 2);
@@ -72,20 +71,6 @@ fn main() {
         }
     }
 
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|pt| {
-            vec![
-                pt.hops.to_string(),
-                format!("{:.2}", pt.p),
-                format!("{:.2}", pt.predicted_jtp_tx_per_pkt),
-                format!("{:.2}", pt.measured_jtp_tx_per_pkt),
-                format!("{:.2}", pt.predicted_jnc_tx_per_pkt),
-                format!("{:.2}", pt.measured_jnc_tx_per_pkt),
-                format!("{:.3}", pt.predicted_gain),
-            ]
-        })
-        .collect();
     print_table(
         "Eqs 5/6: node transmissions per delivered packet",
         &[
@@ -97,7 +82,18 @@ fn main() {
             "meas(jnc)",
             "gain",
         ],
-        &rows,
+        &points,
+        |pt| {
+            vec![
+                pt.hops.to_string(),
+                format!("{:.2}", pt.p),
+                format!("{:.2}", pt.predicted_jtp_tx_per_pkt),
+                format!("{:.2}", pt.measured_jtp_tx_per_pkt),
+                format!("{:.2}", pt.predicted_jnc_tx_per_pkt),
+                format!("{:.2}", pt.measured_jnc_tx_per_pkt),
+                format!("{:.3}", pt.predicted_gain),
+            ]
+        },
     );
 
     let mut pass = true;
@@ -111,16 +107,15 @@ fn main() {
             println!("H={} p={}: JTP rel err {:.2}", pt.hops, pt.p, rel);
         }
     }
-    println!(
-        "\nshape check: measured JTP cost within 35% of eq. (5): {}",
-        if pass { "PASS" } else { "FAIL" }
-    );
     let ordering = points
         .iter()
         .all(|pt| pt.measured_jnc_tx_per_pkt >= pt.measured_jtp_tx_per_pkt * 0.95);
-    println!(
-        "shape check: JNC never cheaper than JTP: {}",
-        if ordering { "PASS" } else { "FAIL" }
-    );
-    maybe_write_json(&args, &points);
+    finish(
+        args,
+        &points,
+        vec![
+            Claim::new("measured JTP cost within 35% of eq. (5)", pass),
+            Claim::new("JNC never cheaper than JTP", ordering),
+        ],
+    )
 }

@@ -10,7 +10,7 @@
 //! all three deliver at least their requirement; the attempt budget is
 //! larger for less tolerant flows and spikes during bad channel periods.
 
-use jtp_bench::{maybe_write_json, print_table, Args};
+use jtp_bench::{finish, mean_by, print_table, Args, Claim};
 use jtp_netsim::{run_many, run_traced, ExperimentConfig, TraceConfig, TransportKind};
 use jtp_sim::NodeId;
 use serde::Serialize;
@@ -25,8 +25,7 @@ struct Point {
     delivery_fraction: f64,
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) -> Vec<Claim> {
     let sizes: Vec<usize> = args.pick((2..=8).collect(), vec![3, 5]);
     let runs = args.pick(10, 2);
     let packets: u32 = args.pick(400, 80);
@@ -41,12 +40,8 @@ fn main() {
                 .seed(300)
                 .bulk_flow(packets, 10.0, lt);
             let ms = run_many(&cfg, runs);
-            let energy: f64 = ms.iter().map(|m| m.energy_total_j).sum::<f64>() / ms.len() as f64;
-            let delivered: f64 = ms
-                .iter()
-                .map(|m| m.delivered_bytes as f64 / 1000.0)
-                .sum::<f64>()
-                / ms.len() as f64;
+            let energy = mean_by(&ms, |m| m.energy_total_j);
+            let delivered = mean_by(&ms, |m| m.delivered_bytes as f64 / 1000.0);
             let offered = packets as f64 * 0.8; // 800 B payloads => 0.8 kB each
             points.push(Point {
                 net_size: n,
@@ -59,19 +54,6 @@ fn main() {
         }
     }
 
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.net_size.to_string(),
-                format!("jtp{}", (p.loss_tolerance * 100.0) as u32),
-                format!("{:.4}", p.energy_j_mean),
-                format!("{:.1}", p.delivered_kb_mean),
-                format!("{:.1}", p.offered_kb),
-                format!("{:.3}", p.delivery_fraction),
-            ]
-        })
-        .collect();
     print_table(
         "Fig 3(a,b): energy & data delivered per reliability level",
         &[
@@ -82,7 +64,17 @@ fn main() {
             "offered(kB)",
             "fraction",
         ],
-        &rows,
+        &points,
+        |p| {
+            vec![
+                p.net_size.to_string(),
+                format!("jtp{}", (p.loss_tolerance * 100.0) as u32),
+                format!("{:.4}", p.energy_j_mean),
+                format!("{:.1}", p.delivered_kb_mean),
+                format!("{:.1}", p.offered_kb),
+                format!("{:.3}", p.delivery_fraction),
+            ]
+        },
     );
     println!("requirement lines: jtp10 >= 0.90, jtp20 >= 0.80 of offered data");
 
@@ -120,25 +112,16 @@ fn main() {
         println!("jtp{:<2} {}", (lt * 100.0) as u32, series.join(" "));
     }
 
-    let verdict_energy_ordering = {
-        // jtp0 should cost >= jtp20 at the largest size.
-        let n = *sizes.last().unwrap();
-        let e = |lt: f64| {
-            points
-                .iter()
-                .find(|p| p.net_size == n && p.loss_tolerance == lt)
-                .unwrap()
-                .energy_j_mean
-        };
-        e(0.0) >= e(0.20)
-    };
-    println!(
-        "\nshape check: energy(jtp0) >= energy(jtp20) at max size: {}",
-        if verdict_energy_ordering {
-            "PASS"
-        } else {
-            "FAIL"
-        }
-    );
-    maybe_write_json(&args, &points);
+    // jtp0 should cost >= jtp20 at the largest size: the last trio of
+    // points, one per tolerance.
+    let [jtp0, _, jtp20] = points.as_chunks::<3>().0.last().expect("at least one size");
+    let verdict_energy_ordering = jtp0.energy_j_mean >= jtp20.energy_j_mean;
+    finish(
+        args,
+        &points,
+        vec![Claim::new(
+            "energy(jtp0) >= energy(jtp20) at max size",
+            verdict_energy_ordering,
+        )],
+    )
 }

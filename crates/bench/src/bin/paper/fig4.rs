@@ -7,7 +7,7 @@
 //! spends less total energy and distributes it more evenly across mid-path
 //! nodes (the paper calls out ~23 % fairer allocation to midpath nodes).
 
-use jtp_bench::{maybe_write_json, print_table, Args};
+use jtp_bench::{finish, mean_by, print_table, Args, Claim};
 use jtp_netsim::{run_many, ExperimentConfig, TransportKind};
 use jtp_phys::gilbert::GilbertConfig;
 use serde::Serialize;
@@ -31,8 +31,7 @@ fn lossy() -> GilbertConfig {
     }
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) -> Vec<Claim> {
     let sizes: Vec<usize> = args.pick(vec![3, 4, 5, 6, 7, 8, 9], vec![4, 7]);
     let runs = args.pick(10, 2);
     let packets = args.pick(300, 80);
@@ -51,9 +50,7 @@ fn main() {
     for &n in &sizes {
         let jtp = run_many(&base(n, TransportKind::Jtp), runs);
         let jnc = run_many(&base(n, TransportKind::Jnc), runs);
-        let epb = |ms: &[jtp_netsim::Metrics]| {
-            ms.iter().map(|m| m.energy_per_bit_uj()).sum::<f64>() / ms.len() as f64
-        };
+        let epb = |ms: &[jtp_netsim::Metrics]| mean_by(ms, |m| m.energy_per_bit_uj());
         let (a, b) = (epb(&jtp), epb(&jnc));
         points.push(Point {
             net_size: n,
@@ -63,21 +60,18 @@ fn main() {
         });
     }
 
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
+    print_table(
+        "Fig 4(a): energy per delivered bit, JTP vs JNC",
+        &["netSize", "jtp(uJ/bit)", "jnc(uJ/bit)", "jnc/jtp"],
+        &points,
+        |p| {
             vec![
                 p.net_size.to_string(),
                 format!("{:.4}", p.jtp_uj_per_bit),
                 format!("{:.4}", p.jnc_uj_per_bit),
                 format!("{:.3}x", p.gain),
             ]
-        })
-        .collect();
-    print_table(
-        "Fig 4(a): energy per delivered bit, JTP vs JNC",
-        &["netSize", "jtp(uJ/bit)", "jnc(uJ/bit)", "jnc/jtp"],
-        &rows,
+        },
     );
 
     // (b) per-node energy on the 7-node path.
@@ -85,46 +79,38 @@ fn main() {
     let jtp = run_many(&base(n, TransportKind::Jtp), runs);
     let jnc = run_many(&base(n, TransportKind::Jnc), runs);
     let avg_per_node = |ms: &[jtp_netsim::Metrics]| -> Vec<f64> {
-        let mut acc = vec![0.0; n];
-        for m in ms {
-            for (i, e) in m.per_node_energy_j.iter().enumerate() {
-                acc[i] += e;
-            }
-        }
-        acc.iter().map(|e| e / ms.len() as f64).collect()
+        (0..n)
+            .map(|i| mean_by(ms, |m| m.per_node_energy_j[i]))
+            .collect()
     };
     let jtp_nodes = avg_per_node(&jtp);
     let jnc_nodes = avg_per_node(&jnc);
-    let rows: Vec<Vec<String>> = (0..n)
-        .map(|i| {
+    print_table(
+        "Fig 4(b): per-node energy, 7-node linear path",
+        &["node", "jtp(J)", "jnc(J)"],
+        &(0..n).collect::<Vec<_>>(),
+        |&i| {
             vec![
                 format!("{}", i + 1),
                 format!("{:.5}", jtp_nodes[i]),
                 format!("{:.5}", jnc_nodes[i]),
             ]
-        })
-        .collect();
-    print_table(
-        "Fig 4(b): per-node energy, 7-node linear path",
-        &["node", "jtp(J)", "jnc(J)"],
-        &rows,
+        },
     );
 
     // Shape checks: gains grow with path length; JNC source (node 1) works
     // harder than JTP's.
     let monotone_tail =
         points.len() < 2 || points.last().unwrap().gain >= points.first().unwrap().gain * 0.9;
-    println!(
-        "\nshape check: caching gain grows (last >= ~first): {}",
-        if monotone_tail { "PASS" } else { "FAIL" }
-    );
-    println!(
-        "shape check: JNC source energy > JTP source energy: {}",
-        if jnc_nodes[0] > jtp_nodes[0] {
-            "PASS"
-        } else {
-            "FAIL"
-        }
-    );
-    maybe_write_json(&args, &points);
+    finish(
+        args,
+        &points,
+        vec![
+            Claim::new("caching gain grows (last >= ~first)", monotone_tail),
+            Claim::new(
+                "JNC source energy > JTP source energy",
+                jnc_nodes[0] > jtp_nodes[0],
+            ),
+        ],
+    )
 }

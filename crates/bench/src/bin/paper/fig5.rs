@@ -12,7 +12,7 @@
 //! * the capacity left to the competing flow 1 — the back-off returns the
 //!   recovered packets' airtime to the other flow.
 
-use jtp_bench::{maybe_write_json, mean, Args};
+use jtp_bench::{finish, mean, mean_by, Args, Claim};
 use jtp_netsim::{run_traced, ExperimentConfig, FlowSpec, TraceConfig, TransportKind};
 use jtp_phys::gilbert::GilbertConfig;
 use jtp_sim::{FlowId, NodeId, SimDuration, SimTime};
@@ -105,20 +105,19 @@ fn run_one(args: &Args, backoff: bool, seed: u64) -> (Variant, Series, Series) {
     (v, short(0), s2)
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) -> Vec<Claim> {
     let seeds: Vec<u64> = args.pick(vec![500, 501, 502, 503], vec![500, 501]);
 
     let mut with: Vec<Variant> = Vec::new();
     let mut without: Vec<Variant> = Vec::new();
     let mut sample_series: Option<(Series, Series)> = None;
     for &seed in &seeds {
-        let (v, s1, s2) = run_one(&args, true, seed);
+        let (v, s1, s2) = run_one(args, true, seed);
         with.push(v);
         if sample_series.is_none() {
             sample_series = Some((s1, s2));
         }
-        let (v, _, _) = run_one(&args, false, seed);
+        let (v, _, _) = run_one(args, false, seed);
         without.push(v);
     }
 
@@ -139,9 +138,9 @@ fn main() {
     }
 
     let agg = |vs: &[Variant]| {
-        let f1 = mean(&vs.iter().map(|v| v.flow1_mean_pps).collect::<Vec<_>>());
-        let f2 = mean(&vs.iter().map(|v| v.flow2_mean_pps).collect::<Vec<_>>());
-        let spike = mean(&vs.iter().map(|v| v.flow2_spike_ratio).collect::<Vec<_>>());
+        let f1 = mean_by(vs, |v| v.flow1_mean_pps);
+        let f2 = mean_by(vs, |v| v.flow2_mean_pps);
+        let spike = mean_by(vs, |v| v.flow2_spike_ratio);
         let rec: u64 = vs.iter().map(|v| v.recoveries).sum();
         (f1, f2, spike, rec)
     };
@@ -156,25 +155,22 @@ fn main() {
         "  without back-off: f1 {f1_wo:.3} pps, f2 {f2_wo:.3} pps, f2 peak/mean {spike_wo:.2}, recoveries {rec_wo}"
     );
 
-    println!(
-        "\nshape check: caches were exercised in both variants: {}",
-        if rec_w > 0 && rec_wo > 0 {
-            "PASS"
-        } else {
-            "FAIL"
-        }
-    );
-    println!(
-        "shape check: back-off leaves the competing flow >= capacity: {}",
-        if f1_w >= f1_wo * 0.98 { "PASS" } else { "FAIL" }
-    );
-    println!(
-        "shape check: back-off tames flow2 spikes (peak/mean smaller): {}",
-        if spike_w <= spike_wo + 0.10 {
-            "PASS"
-        } else {
-            "FAIL"
-        }
-    );
-    maybe_write_json(&args, &vec![with, without]);
+    finish(
+        args,
+        &vec![with, without],
+        vec![
+            Claim::new(
+                "caches were exercised in both variants",
+                rec_w > 0 && rec_wo > 0,
+            ),
+            Claim::new(
+                "back-off leaves the competing flow >= capacity",
+                f1_w >= f1_wo * 0.98,
+            ),
+            Claim::new(
+                "back-off tames flow2 spikes (peak/mean smaller)",
+                spike_w <= spike_wo + 0.10,
+            ),
+        ],
+    )
 }

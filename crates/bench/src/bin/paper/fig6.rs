@@ -6,7 +6,7 @@
 //! packets until the (feedback-delayed) SNACK arrives, and little further
 //! improvement beyond that.
 
-use jtp_bench::{maybe_write_json, print_table, Args};
+use jtp_bench::{finish, mean_by, print_table, Args, Claim};
 use jtp_netsim::{run_many, ExperimentConfig, TransportKind};
 use jtp_phys::gilbert::GilbertConfig;
 use serde::Serialize;
@@ -19,8 +19,7 @@ struct Point {
     cache_hits_mean: f64,
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) -> Vec<Claim> {
     let sizes: Vec<usize> = args.pick(vec![4, 6, 8], vec![5]);
     let caches: Vec<usize> = args.pick(vec![0, 1, 2, 4, 8, 16, 32, 64, 128], vec![0, 4, 32]);
     let runs = args.pick(10, 2);
@@ -43,12 +42,8 @@ fn main() {
                 ..GilbertConfig::paper_default()
             };
             let ms = run_many(&cfg, runs);
-            let rtx = ms
-                .iter()
-                .map(|m| m.source_retransmissions as f64)
-                .sum::<f64>()
-                / ms.len() as f64;
-            let hits = ms.iter().map(|m| m.local_recoveries as f64).sum::<f64>() / ms.len() as f64;
+            let rtx = mean_by(&ms, |m| m.source_retransmissions as f64);
+            let hits = mean_by(&ms, |m| m.local_recoveries as f64);
             points.push(Point {
                 net_size: n,
                 cache_size: c,
@@ -58,35 +53,26 @@ fn main() {
         }
     }
 
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
+    print_table(
+        "Fig 6: source retransmissions vs cache size",
+        &["netSize", "cache(pkts)", "source rtx", "cache hits"],
+        &points,
+        |p| {
             vec![
                 p.net_size.to_string(),
                 p.cache_size.to_string(),
                 format!("{:.1}", p.source_rtx_mean),
                 format!("{:.1}", p.cache_hits_mean),
             ]
-        })
-        .collect();
-    print_table(
-        "Fig 6: source retransmissions vs cache size",
-        &["netSize", "cache(pkts)", "source rtx", "cache hits"],
-        &rows,
+        },
     );
 
     // Shape check: for each size, the largest cache has (far) fewer source
-    // retransmissions than no cache.
+    // retransmissions than no cache. Each size's sweep starts at cache 0.
     let mut pass = true;
-    for &n in &sizes {
-        let at = |c: usize| {
-            points
-                .iter()
-                .find(|p| p.net_size == n && p.cache_size == c)
-                .unwrap()
-                .source_rtx_mean
-        };
-        let (none, big) = (at(0), at(*caches.last().unwrap()));
+    for sweep in points.chunks(caches.len()) {
+        let (first, last) = (&sweep[0], &sweep[sweep.len() - 1]);
+        let (n, none, big) = (first.net_size, first.source_rtx_mean, last.source_rtx_mean);
         if big > none {
             pass = false;
         }
@@ -95,9 +81,9 @@ fn main() {
             caches.last().unwrap()
         );
     }
-    println!(
-        "\nshape check: large caches eliminate most source rtx: {}",
-        if pass { "PASS" } else { "FAIL" }
-    );
-    maybe_write_json(&args, &points);
+    finish(
+        args,
+        &points,
+        vec![Claim::new("large caches eliminate most source rtx", pass)],
+    )
 }

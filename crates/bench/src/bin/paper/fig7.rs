@@ -7,7 +7,7 @@
 //! long-lived sender backs off too slowly when the short flows arrive.
 //! Variable-rate feedback achieves both low energy and few drops.
 
-use jtp_bench::{maybe_write_json, print_table, Args};
+use jtp_bench::{finish, mean_by, print_table, Args, Claim};
 use jtp_netsim::{run_many, ExperimentConfig, FlowSpec, TransportKind};
 use jtp_sim::{NodeId, SimDuration};
 use serde::Serialize;
@@ -60,8 +60,7 @@ fn workload(duration_s: f64) -> Vec<FlowSpec> {
     flows
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) -> Vec<Claim> {
     let duration = args.pick(2000.0, 800.0);
     let runs = args.pick(8, 2);
     // Constant feedback periods (s) => rates 1/T (the paper sweeps
@@ -101,9 +100,17 @@ fn main() {
     let ms = run_many(&base(), runs);
     points.push(summarise(&ms, "variable".into(), 0.0));
 
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
+    print_table(
+        "Fig 7: energy and queue drops vs feedback rate",
+        &[
+            "feedback",
+            "rate(pps)",
+            "energy(mJ)",
+            "ackEnergy(mJ)",
+            "queueDrops",
+        ],
+        &points,
+        |p| {
             vec![
                 p.feedback.clone(),
                 if p.feedback_rate_pps > 0.0 {
@@ -115,30 +122,11 @@ fn main() {
                 format!("{:.2}", p.ack_energy_mj_mean),
                 format!("{:.1}", p.queue_drops_mean),
             ]
-        })
-        .collect();
-    print_table(
-        "Fig 7: energy and queue drops vs feedback rate",
-        &[
-            "feedback",
-            "rate(pps)",
-            "energy(mJ)",
-            "ackEnergy(mJ)",
-            "queueDrops",
-        ],
-        &rows,
+        },
     );
 
     let variable = points.last().unwrap();
     let fastest = &points[periods.len() - 1];
-    println!(
-        "\nshape check: high feedback rate costs more ACK energy than variable: {}",
-        if fastest.ack_energy_mj_mean > variable.ack_energy_mj_mean {
-            "PASS"
-        } else {
-            "FAIL"
-        }
-    );
     // The paper's headline for Fig. 7: variable-rate feedback achieves
     // both low energy and few drops — i.e. it sits on the sweep's Pareto
     // front rather than at either extreme.
@@ -148,24 +136,28 @@ fn main() {
         .fold(f64::INFINITY, f64::min);
     let drops_ok = variable.queue_drops_mean <= min_drops * 1.3 + 5.0;
     let energy_ok = variable.ack_energy_mj_mean < fastest.ack_energy_mj_mean;
-    println!(
-        "shape check: variable feedback on the energy/drops Pareto front: {}",
-        if drops_ok && energy_ok {
-            "PASS"
-        } else {
-            "FAIL"
-        }
-    );
-    maybe_write_json(&args, &points);
+    finish(
+        args,
+        &points,
+        vec![
+            Claim::new(
+                "high feedback rate costs more ACK energy than variable",
+                fastest.ack_energy_mj_mean > variable.ack_energy_mj_mean,
+            ),
+            Claim::new(
+                "variable feedback on the energy/drops Pareto front",
+                drops_ok && energy_ok,
+            ),
+        ],
+    )
 }
 
 fn summarise(ms: &[jtp_netsim::Metrics], label: String, rate: f64) -> Point {
-    let n = ms.len() as f64;
     Point {
         feedback: label,
         feedback_rate_pps: rate,
-        energy_mj_mean: ms.iter().map(|m| m.energy_total_j * 1e3).sum::<f64>() / n,
-        ack_energy_mj_mean: ms.iter().map(|m| m.energy_ack_j * 1e3).sum::<f64>() / n,
-        queue_drops_mean: ms.iter().map(|m| m.queue_drops_data as f64).sum::<f64>() / n,
+        energy_mj_mean: mean_by(ms, |m| m.energy_total_j * 1e3),
+        ack_energy_mj_mean: mean_by(ms, |m| m.energy_ack_j * 1e3),
+        queue_drops_mean: mean_by(ms, |m| m.queue_drops_data as f64),
     }
 }

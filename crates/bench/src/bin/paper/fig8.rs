@@ -8,7 +8,7 @@
 //! limits) as the monitor flips to the agile filter at the arrival and
 //! departure of flow 2.
 
-use jtp_bench::{maybe_write_json, mean, Args};
+use jtp_bench::{finish, mean, Args, Claim};
 use jtp_netsim::{run_traced, ExperimentConfig, FlowSpec, TraceConfig, TransportKind};
 use jtp_sim::{FlowId, NodeId, SimDuration, SimTime};
 use serde::Serialize;
@@ -22,8 +22,7 @@ struct Output {
     monitor_samples: usize,
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) -> Vec<Claim> {
     let scale = if args.quick { 0.4 } else { 1.0 };
     let t_start2 = 1000.0 * scale;
     let t_end2 = 1250.0 * scale;
@@ -115,32 +114,24 @@ fn main() {
         out.flow1_rate_before, out.flow1_rate_during, out.flow1_rate_after
     );
     println!("flow2 rate while active: {:.2} pps", out.flow2_rate_during);
-    println!(
-        "\nshape check: flow1 backs off while flow2 is active: {}",
-        if out.flow1_rate_during < out.flow1_rate_before {
-            "PASS"
-        } else {
-            "FAIL"
-        }
-    );
-    println!(
-        "shape check: flow1 recovers after flow2 leaves: {}",
-        if out.flow1_rate_after > out.flow1_rate_during {
-            "PASS"
-        } else {
-            "FAIL"
-        }
-    );
-    println!(
-        "shape check: rates roughly fair while sharing (within 3x): {}",
-        if out.flow2_rate_during > 0.0
-            && out.flow1_rate_during / out.flow2_rate_during < 3.0
-            && out.flow2_rate_during / out.flow1_rate_during.max(1e-9) < 3.0
-        {
-            "PASS"
-        } else {
-            "FAIL"
-        }
-    );
-    maybe_write_json(&args, &out);
+    finish(
+        args,
+        &out,
+        vec![
+            Claim::new(
+                "flow1 backs off while flow2 is active",
+                out.flow1_rate_during < out.flow1_rate_before,
+            ),
+            Claim::new(
+                "flow1 recovers after flow2 leaves",
+                out.flow1_rate_after > out.flow1_rate_during,
+            ),
+            Claim::new(
+                "rates roughly fair while sharing (within 3x)",
+                out.flow2_rate_during > 0.0
+                    && out.flow1_rate_during / out.flow2_rate_during < 3.0
+                    && out.flow2_rate_during / out.flow1_rate_during.max(1e-9) < 3.0,
+            ),
+        ],
+    )
 }

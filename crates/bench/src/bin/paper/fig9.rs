@@ -9,8 +9,8 @@
 //! — by growing factors as paths lengthen (ATP ~2×, TCP ~5× at size 10) —
 //! while also achieving the highest goodput.
 
-use jtp_bench::{maybe_write_json, print_table, Args};
-use jtp_netsim::{run_many, summarize_runs, ExperimentConfig, FlowSpec, TransportKind};
+use jtp_bench::{maybe_write_json, print_table, render_claims, Args, Claim};
+use jtp_netsim::{run_many, summarize_runs, ExperimentConfig, FlowSpec, Metrics, TransportKind};
 use jtp_phys::gilbert::GilbertConfig;
 use jtp_sim::{NodeId, SimDuration, SimRng};
 use serde::Serialize;
@@ -25,14 +25,52 @@ fn channel() -> GilbertConfig {
     }
 }
 
+/// The transports Figs. 9–11 compare, with their table/JSON names.
+pub const JTP_ATP_TCP: [(TransportKind, &str); 3] = [
+    (TransportKind::Jtp, "jtp"),
+    (TransportKind::Atp, "atp"),
+    (TransportKind::Tcp, "tcp"),
+];
+
+/// One (network size, transport) cell of Figs. 9 and 10.
 #[derive(Serialize)]
-struct Point {
-    net_size: usize,
-    protocol: String,
-    energy_uj_per_bit: f64,
-    energy_ci95: f64,
-    goodput_kbps: f64,
-    goodput_ci95: f64,
+pub struct Point {
+    pub net_size: usize,
+    pub protocol: String,
+    pub energy_uj_per_bit: f64,
+    pub energy_ci95: f64,
+    pub goodput_kbps: f64,
+    pub goodput_ci95: f64,
+}
+
+impl Point {
+    pub fn new(net_size: usize, protocol: &str, ms: &[Metrics]) -> Point {
+        let (epb, gp) = summarize_runs(ms);
+        Point {
+            net_size,
+            protocol: protocol.into(),
+            energy_uj_per_bit: epb.mean,
+            energy_ci95: epb.ci95,
+            goodput_kbps: gp.mean,
+            goodput_ci95: gp.ci95,
+        }
+    }
+}
+
+pub fn print_points(title: &str, points: &[Point]) {
+    print_table(
+        title,
+        &["netSize", "proto", "energy(uJ/bit)", "goodput(kbps)"],
+        points,
+        |p| {
+            vec![
+                p.net_size.to_string(),
+                p.protocol.clone(),
+                format!("{:.4} ± {:.4}", p.energy_uj_per_bit, p.energy_ci95),
+                format!("{:.3} ± {:.3}", p.goodput_kbps, p.goodput_ci95),
+            ]
+        },
+    );
 }
 
 fn flows(n: usize, warmup: f64, seed: u64) -> Vec<FlowSpec> {
@@ -60,88 +98,48 @@ fn flows(n: usize, warmup: f64, seed: u64) -> Vec<FlowSpec> {
     ]
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) -> Vec<Claim> {
     let sizes: Vec<usize> = args.pick(vec![2, 4, 6, 8, 10], vec![3, 6]);
     let runs = args.pick(20, 2);
     let duration = args.pick(2500.0, 900.0);
     let warmup = args.pick(900.0, 100.0);
-    let protocols = [
-        (TransportKind::Jtp, "jtp"),
-        (TransportKind::Atp, "atp"),
-        (TransportKind::Tcp, "tcp"),
-    ];
 
     let mut points = Vec::new();
     for &n in &sizes {
-        for (kind, name) in protocols {
+        for (kind, name) in JTP_ATP_TCP {
             let mut cfg = ExperimentConfig::linear(n)
                 .transport(kind)
                 .duration_s(duration)
                 .seed(900);
             cfg.gilbert = channel();
             cfg.flows = flows(n, warmup, 900);
-            let ms = run_many(&cfg, runs);
-            let (epb, gp) = summarize_runs(&ms);
-            points.push(Point {
-                net_size: n,
-                protocol: name.into(),
-                energy_uj_per_bit: epb.mean,
-                energy_ci95: epb.ci95,
-                goodput_kbps: gp.mean,
-                goodput_ci95: gp.ci95,
-            });
+            points.push(Point::new(n, name, &run_many(&cfg, runs)));
         }
     }
-
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.net_size.to_string(),
-                p.protocol.clone(),
-                format!("{:.4} ± {:.4}", p.energy_uj_per_bit, p.energy_ci95),
-                format!("{:.3} ± {:.3}", p.goodput_kbps, p.goodput_ci95),
-            ]
-        })
-        .collect();
-    print_table(
-        "Fig 9: linear topologies, JTP vs ATP vs TCP",
-        &["netSize", "proto", "energy(uJ/bit)", "goodput(kbps)"],
-        &rows,
-    );
+    print_points("Fig 9: linear topologies, JTP vs ATP vs TCP", &points);
 
     // Shape checks at the largest size.
     let last = *sizes.last().unwrap();
-    let get = |proto: &str| {
-        points
-            .iter()
-            .find(|p| p.net_size == last && p.protocol == proto)
-            .unwrap()
-    };
-    let (j, a, t) = (get("jtp"), get("atp"), get("tcp"));
+    let [j, a, t] = points.as_chunks::<3>().0.last().expect("at least one size");
     println!("\nat netSize {last}:");
     println!(
         "  energy ratios: atp/jtp = {:.2} (paper ~2), tcp/jtp = {:.2} (paper ~5)",
         a.energy_uj_per_bit / j.energy_uj_per_bit,
         t.energy_uj_per_bit / j.energy_uj_per_bit
     );
-    println!(
-        "shape check: JTP lowest energy/bit: {}",
-        if j.energy_uj_per_bit <= a.energy_uj_per_bit && j.energy_uj_per_bit <= t.energy_uj_per_bit
-        {
-            "PASS"
-        } else {
-            "FAIL"
-        }
-    );
-    println!(
-        "shape check: JTP highest goodput: {}",
-        if j.goodput_kbps >= a.goodput_kbps && j.goodput_kbps >= t.goodput_kbps {
-            "PASS"
-        } else {
-            "FAIL"
-        }
-    );
-    maybe_write_json(&args, &points);
+    let claims = vec![
+        Claim::new(
+            "JTP lowest energy/bit",
+            j.energy_uj_per_bit <= a.energy_uj_per_bit
+                && j.energy_uj_per_bit <= t.energy_uj_per_bit,
+        ),
+        Claim::new(
+            "JTP highest goodput",
+            j.goodput_kbps >= a.goodput_kbps && j.goodput_kbps >= t.goodput_kbps,
+        ),
+    ];
+    // Printed right under the ratio lines, without a blank line between.
+    print!("{}", render_claims(&claims, false));
+    maybe_write_json(args, &points);
+    claims
 }

@@ -7,14 +7,15 @@
 //! packets delivered before the lights went out and energy-per-bit — the
 //! paper's §6.1 energy story closed into an actual lifetime answer.
 //!
-//! Run: `cargo run --release -p jtp-bench --bin lifetime_bench --
+//! Run: `cargo run --release -p jtp-bench --bin paper -- lifetime
 //! --quick --json BENCH_lifetime.json`
 //!
-//! When the `--json` target already exists and holds a JSON object (e.g.
-//! `BENCH_engine.json`), the report is **merged** into it under a
-//! `"lifetime"` key instead of clobbering the file.
+//! The report is **merged** into the `--json` target under a `"lifetime"`
+//! key via [`jtp_bench::merge_json_section`]: every other section of an
+//! existing JSON object (e.g. `BENCH_engine.json`) is preserved verbatim,
+//! a previous `"lifetime"` section is replaced in place.
 
-use jtp_bench::Args;
+use jtp_bench::{mean_by, Args, Claim};
 use jtp_netsim::{run_many, Scenario, TransportKind};
 use serde::Serialize;
 
@@ -45,17 +46,7 @@ struct Report {
     cells: Vec<Cell>,
 }
 
-/// Merge `{"lifetime": report}` into an existing JSON object file (or
-/// write a fresh one) via [`jtp_bench::merge_json_section`]: every other
-/// section is preserved verbatim, a previous `"lifetime"` section is
-/// replaced in place.
-fn write_merged(path: &std::path::Path, report: &Report) {
-    let body = serde_json::to_string_pretty(report).expect("serialisable report");
-    jtp_bench::merge_json_section(path, "lifetime", &body);
-}
-
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) -> Vec<Claim> {
     let seeds = args.pick(6, 2);
     let transports = [
         (TransportKind::Jtp, "JTP"),
@@ -79,30 +70,14 @@ fn main() {
         for (t, tname) in transports {
             let cfg = sc.build(t);
             let ms = run_many(&cfg, seeds);
-            let k = ms.len() as f64;
-            let first_death = ms
-                .iter()
-                .map(|m| m.first_death_s.unwrap_or(horizon))
-                .sum::<f64>()
-                / k;
-            let partitioned =
-                ms.iter().filter(|m| m.first_partition_s.is_some()).count() as f64 / k;
+            let first_death = mean_by(&ms, |m| m.first_death_s.unwrap_or(horizon));
+            let partitioned = ms.iter().filter(|m| m.first_partition_s.is_some()).count() as f64
+                / ms.len() as f64;
             let alive_curve: Vec<f64> = [0.25, 0.5, 0.75, 1.0]
                 .iter()
-                .map(|q| {
-                    ms.iter()
-                        .map(|m| m.alive_at_s(q * horizon) as f64)
-                        .sum::<f64>()
-                        / k
-                })
+                .map(|q| mean_by(&ms, |m| m.alive_at_s(q * horizon) as f64))
                 .collect();
-            let delivered = ms.iter().map(|m| m.delivered_packets as f64).sum::<f64>() / k;
-            let deaths = ms.iter().map(|m| m.battery_deaths as f64).sum::<f64>() / k;
-            let residual = ms
-                .iter()
-                .map(|m| m.mean_residual_j().unwrap_or(0.0))
-                .sum::<f64>()
-                / k;
+            let delivered = mean_by(&ms, |m| m.delivered_packets as f64);
             let epb = {
                 let finite: Vec<f64> = ms
                     .iter()
@@ -132,8 +107,8 @@ fn main() {
                 partitioned_frac: partitioned,
                 alive_curve,
                 delivered_mean: delivered,
-                deaths_mean: deaths,
-                residual_j_mean: residual,
+                deaths_mean: mean_by(&ms, |m| m.battery_deaths as f64),
+                residual_j_mean: mean_by(&ms, |m| m.mean_residual_j().unwrap_or(0.0)),
                 energy_per_bit_uj_mean: epb,
             });
         }
@@ -151,12 +126,15 @@ fn main() {
             "µJ/bit",
         ],
         &rows,
+        Vec::clone,
     );
     let report = Report {
         quick: args.quick,
         cells,
     };
     if let Some(path) = &args.json {
-        write_merged(path, &report);
+        let body = serde_json::to_string_pretty(&report).expect("serialisable report");
+        jtp_bench::merge_json_section(path, "lifetime", &body);
     }
+    Vec::new()
 }

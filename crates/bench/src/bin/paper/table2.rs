@@ -11,7 +11,7 @@
 //! goodput; TCP's goodput is better than in the lossy simulations because
 //! the loss rate is low.
 
-use jtp_bench::{maybe_write_json, print_table, Args};
+use jtp_bench::{finish, mean_by, print_table, Args, Claim};
 use jtp_netsim::{run_many, summarize_runs, ExperimentConfig, FlowSpec, TransportKind};
 use jtp_phys::gilbert::GilbertConfig;
 use jtp_sim::{NodeId, SimDuration, SimRng};
@@ -55,8 +55,7 @@ fn testbed_workload(n: usize, duration_s: f64, seed: u64) -> Vec<FlowSpec> {
     flows
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args) -> Vec<Claim> {
     let n = 14;
     let duration = args.pick(1800.0, 600.0); // 30-minute runs
     let runs = args.pick(5, 2);
@@ -81,32 +80,15 @@ fn main() {
         cfg.pathloss.base_loss = 0.02;
         let ms = run_many(&cfg, runs);
         let (epb, gp) = summarize_runs(&ms);
-        let nruns = ms.len() as f64;
         rows_out.push(Row {
             protocol: name.into(),
             energy_uj_per_bit: epb.mean,
             goodput_kbps: gp.mean,
-            source_rtx: ms
-                .iter()
-                .map(|m| m.source_retransmissions as f64)
-                .sum::<f64>()
-                / nruns,
-            queue_drops: ms.iter().map(|m| m.queue_drops as f64).sum::<f64>() / nruns,
+            source_rtx: mean_by(&ms, |m| m.source_retransmissions as f64),
+            queue_drops: mean_by(&ms, |m| m.queue_drops as f64),
         });
     }
 
-    let rows: Vec<Vec<String>> = rows_out
-        .iter()
-        .map(|r| {
-            vec![
-                r.protocol.clone(),
-                format!("{:.4}", r.energy_uj_per_bit),
-                format!("{:.3}", r.goodput_kbps),
-                format!("{:.1}", r.source_rtx),
-                format!("{:.1}", r.queue_drops),
-            ]
-        })
-        .collect();
     print_table(
         "Table 2: JAVeLEN testbed surrogate (14 nodes, stable links)",
         &[
@@ -116,31 +98,38 @@ fn main() {
             "srcRtx",
             "qDrops",
         ],
-        &rows,
+        &rows_out,
+        |r| {
+            vec![
+                r.protocol.clone(),
+                format!("{:.4}", r.energy_uj_per_bit),
+                format!("{:.3}", r.goodput_kbps),
+                format!("{:.1}", r.source_rtx),
+                format!("{:.1}", r.queue_drops),
+            ]
+        },
     );
     println!("\npaper (absolute, real radios): JTP 5.4 uJ/bit / 0.63 kbps,");
     println!("ATP 6.8 uJ/bit / 0.44 kbps, TCP 10.5 uJ/bit / 0.17 kbps");
 
     let (j, a, t) = (&rows_out[0], &rows_out[1], &rows_out[2]);
-    println!(
-        "\nshape check: JTP lowest energy per bit: {}",
-        if j.energy_uj_per_bit < a.energy_uj_per_bit && j.energy_uj_per_bit < t.energy_uj_per_bit {
-            "PASS"
-        } else {
-            "FAIL"
-        }
-    );
-    println!(
-        "shape check: goodput ordering JTP > ATP > TCP: {}",
-        if j.goodput_kbps >= a.goodput_kbps && a.goodput_kbps >= t.goodput_kbps {
-            "PASS"
-        } else {
-            "FAIL"
-        }
-    );
     // Divergence note: in the paper's testbed ATP also beat TCP on energy;
     // here they are within a few percent of each other (our byte-propor-
     // tional share of ACK energy is kinder to TCP's small ACKs than real
-    // radios were). See EXPERIMENTS.md.
-    maybe_write_json(&args, &rows_out);
+    // radios were).
+    finish(
+        args,
+        &rows_out,
+        vec![
+            Claim::new(
+                "JTP lowest energy per bit",
+                j.energy_uj_per_bit < a.energy_uj_per_bit
+                    && j.energy_uj_per_bit < t.energy_uj_per_bit,
+            ),
+            Claim::new(
+                "goodput ordering JTP > ATP > TCP",
+                j.goodput_kbps >= a.goodput_kbps && a.goodput_kbps >= t.goodput_kbps,
+            ),
+        ],
+    )
 }

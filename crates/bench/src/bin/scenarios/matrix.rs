@@ -16,13 +16,13 @@
 //!   bit). Merged into the `--json` target as a `"transports"` section,
 //!   preserving whatever else the file holds (e.g. `BENCH_engine.json`).
 //!
-//! Run: `cargo run --release -p jtp-bench --bin scenario_matrix -- --quick
+//! Run: `cargo run --release -p jtp-bench --bin scenarios -- matrix --quick
 //! --json BENCH_scenarios.json`, or
-//! `cargo run --release -p jtp-bench --bin scenario_matrix -- --section
+//! `cargo run --release -p jtp-bench --bin scenarios -- matrix --section
 //! transports --json BENCH_engine.json`
 
-use jtp_bench::Args;
-use jtp_netsim::{run_many, summarize_runs, Metrics, Scenario, TransportKind};
+use jtp_bench::{mean_by, Args};
+use jtp_netsim::{run_many, summarize_runs, FlowMetrics, Scenario, TransportKind};
 use serde::Serialize;
 
 const TRANSPORTS: [(TransportKind, &str); 5] = [
@@ -83,10 +83,6 @@ struct TransportReport {
     cells: Vec<TransportCell>,
 }
 
-fn mean_u64(xs: impl Iterator<Item = u64>, n: usize) -> f64 {
-    xs.sum::<u64>() as f64 / n.max(1) as f64
-}
-
 /// Jain's fairness index `(Σx)² / (n·Σx²)`; 1.0 for an empty or all-zero
 /// allocation (nothing to be unfair about).
 fn jain(xs: &[f64]) -> f64 {
@@ -102,43 +98,26 @@ fn jain(xs: &[f64]) -> f64 {
 
 fn catalog_section(args: &Args, seeds: usize) {
     let mut cells = Vec::new();
-    let mut rows = Vec::new();
     for sc in Scenario::catalog() {
         for (t, tname) in TRANSPORTS {
             let cfg = sc.build(t);
             let ms = run_many(&cfg, seeds);
             let (epb, gp) = summarize_runs(&ms);
-            let dr = ms.iter().map(|m| m.delivery_ratio()).sum::<f64>() / ms.len() as f64;
-            let cell = Cell {
+            cells.push(Cell {
                 scenario: sc.name.clone(),
                 transport: tname.into(),
                 seeds,
                 flows: cfg.flows.len(),
-                delivery_ratio_mean: dr,
+                delivery_ratio_mean: mean_by(&ms, |m| m.delivery_ratio()),
                 goodput_kbps_mean: gp.mean,
                 goodput_kbps_ci95: gp.ci95,
                 energy_per_bit_uj_mean: epb.mean,
                 energy_per_bit_uj_ci95: epb.ci95,
-                source_retransmissions: mean_u64(
-                    ms.iter().map(|m| m.source_retransmissions),
-                    ms.len(),
-                ),
-                local_recoveries: mean_u64(ms.iter().map(|m| m.local_recoveries), ms.len()),
-                churn_drops: mean_u64(ms.iter().map(|m| m.churn_drops), ms.len()),
-                no_route_drops: mean_u64(ms.iter().map(|m| m.no_route_drops), ms.len()),
-            };
-            rows.push(vec![
-                cell.scenario.clone(),
-                cell.transport.clone(),
-                format!("{}", cell.flows),
-                format!("{:.3}", cell.delivery_ratio_mean),
-                format!("{:.2}", cell.goodput_kbps_mean),
-                format!("{:.3}", cell.energy_per_bit_uj_mean),
-                format!("{:.1}", cell.source_retransmissions),
-                format!("{:.1}", cell.local_recoveries),
-                format!("{:.1}", cell.churn_drops + cell.no_route_drops),
-            ]);
-            cells.push(cell);
+                source_retransmissions: mean_by(&ms, |m| m.source_retransmissions as f64),
+                local_recoveries: mean_by(&ms, |m| m.local_recoveries as f64),
+                churn_drops: mean_by(&ms, |m| m.churn_drops as f64),
+                no_route_drops: mean_by(&ms, |m| m.no_route_drops as f64),
+            });
         }
     }
     jtp_bench::print_table(
@@ -154,7 +133,20 @@ fn catalog_section(args: &Args, seeds: usize) {
             "cache rec",
             "churn+noroute",
         ],
-        &rows,
+        &cells,
+        |cell| {
+            vec![
+                cell.scenario.clone(),
+                cell.transport.clone(),
+                format!("{}", cell.flows),
+                format!("{:.3}", cell.delivery_ratio_mean),
+                format!("{:.2}", cell.goodput_kbps_mean),
+                format!("{:.3}", cell.energy_per_bit_uj_mean),
+                format!("{:.1}", cell.source_retransmissions),
+                format!("{:.1}", cell.local_recoveries),
+                format!("{:.1}", cell.churn_drops + cell.no_route_drops),
+            ]
+        },
     );
     let report = Report {
         quick: args.quick,
@@ -167,61 +159,31 @@ fn transports_section(args: &Args, seeds: usize) {
     let heavy = Scenario::heavy_catalog();
     assert!(!heavy.is_empty(), "the catalog lost its heavy-* entries");
     let mut cells = Vec::new();
-    let mut rows = Vec::new();
     for sc in &heavy {
         let horizon = sc.duration_s;
         for (t, tname) in TRANSPORTS {
             let cfg = sc.build(t);
             let ms = run_many(&cfg, seeds);
-            let k = ms.len() as f64;
-            let per_run = |f: &dyn Fn(&Metrics) -> f64| ms.iter().map(f).sum::<f64>() / k;
-            let dr = per_run(&|m| m.delivery_ratio());
             let (epb, gp) = summarize_runs(&ms);
-            let fairness = per_run(&|m| {
+            let fairness = mean_by(&ms, |m| {
                 let g: Vec<f64> = m.flows.iter().map(|f| f.goodput_kbps()).collect();
                 jain(&g)
             });
-            let n_flows: usize = ms.iter().map(|m| m.flows.len()).sum();
-            let completion = ms
-                .iter()
-                .flat_map(|m| m.flows.iter().map(|f| f.active_time_s))
-                .sum::<f64>()
-                / n_flows.max(1) as f64;
-            let completed = ms
-                .iter()
-                .flat_map(|m| m.flows.iter().map(|f| f.completed as u32 as f64))
-                .sum::<f64>()
-                / n_flows.max(1) as f64;
-            let first_death = per_run(&|m| m.first_death_s.unwrap_or(horizon));
-            let deaths = per_run(&|m| m.battery_deaths as f64);
-            let cell = TransportCell {
+            let flows: Vec<&FlowMetrics> = ms.iter().flat_map(|m| &m.flows).collect();
+            cells.push(TransportCell {
                 scenario: sc.name.clone(),
                 transport: tname.into(),
                 seeds,
                 flows: cfg.flows.len(),
-                delivery_ratio_mean: dr,
+                delivery_ratio_mean: mean_by(&ms, |m| m.delivery_ratio()),
                 goodput_kbps_mean: gp.mean,
                 jain_fairness_mean: fairness,
-                flow_completion_s_mean: completion,
-                completed_frac: completed,
-                first_death_s_mean: first_death,
-                battery_deaths_mean: deaths,
+                flow_completion_s_mean: mean_by(&flows, |f| f.active_time_s),
+                completed_frac: mean_by(&flows, |f| f.completed as u32 as f64),
+                first_death_s_mean: mean_by(&ms, |m| m.first_death_s.unwrap_or(horizon)),
+                battery_deaths_mean: mean_by(&ms, |m| m.battery_deaths as f64),
                 energy_per_bit_uj_mean: epb.mean,
-            };
-            rows.push(vec![
-                cell.scenario.clone(),
-                cell.transport.clone(),
-                format!("{}", cell.flows),
-                format!("{:.3}", cell.delivery_ratio_mean),
-                format!("{:.2}", cell.goodput_kbps_mean),
-                format!("{:.3}", cell.jain_fairness_mean),
-                format!("{:.1}", cell.flow_completion_s_mean),
-                format!("{:.2}", cell.completed_frac),
-                format!("{:.1}", cell.first_death_s_mean),
-                format!("{:.1}", cell.battery_deaths_mean),
-                format!("{:.3}", cell.energy_per_bit_uj_mean),
-            ]);
-            cells.push(cell);
+            });
         }
     }
     jtp_bench::print_table(
@@ -239,7 +201,22 @@ fn transports_section(args: &Args, seeds: usize) {
             "deaths",
             "µJ/bit",
         ],
-        &rows,
+        &cells,
+        |cell| {
+            vec![
+                cell.scenario.clone(),
+                cell.transport.clone(),
+                format!("{}", cell.flows),
+                format!("{:.3}", cell.delivery_ratio_mean),
+                format!("{:.2}", cell.goodput_kbps_mean),
+                format!("{:.3}", cell.jain_fairness_mean),
+                format!("{:.1}", cell.flow_completion_s_mean),
+                format!("{:.2}", cell.completed_frac),
+                format!("{:.1}", cell.first_death_s_mean),
+                format!("{:.1}", cell.battery_deaths_mean),
+                format!("{:.3}", cell.energy_per_bit_uj_mean),
+            ]
+        },
     );
     let report = TransportReport {
         quick: args.quick,
@@ -251,12 +228,11 @@ fn transports_section(args: &Args, seeds: usize) {
     }
 }
 
-fn main() {
-    let args = Args::parse_with_sections(&["catalog", "transports"]);
+pub fn run(args: &Args) {
     if args.section_enabled("catalog") {
-        catalog_section(&args, args.pick(8, 2));
+        catalog_section(args, args.pick(8, 2));
     }
     if args.section_enabled("transports") {
-        transports_section(&args, args.pick(6, 2));
+        transports_section(args, args.pick(6, 2));
     }
 }

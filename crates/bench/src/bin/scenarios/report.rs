@@ -5,53 +5,12 @@
 //! rendered markdown report with flow timelines, queue-depth histograms,
 //! drop/flood breakdowns and the wall-clock time accounting.
 //!
-//! Run: `cargo run --release -p jtp-bench --bin scenario_report -- --quick
-//! --json BENCH_report.json --md BENCH_report.md [--only <substr>]`
-//!
-//! Args are hand-rolled (not `jtp_bench::Args`) because this binary has
-//! flags of its own: `--md <path>` for the markdown artifact and
-//! `--only <substr>` to restrict the catalog slice by scenario name.
+//! Run: `cargo run --release -p jtp-bench --bin scenarios -- report --quick
+//! --json BENCH_report.json --md BENCH_report.md`
 
+use jtp_bench::Args;
 use jtp_netsim::{render_markdown, run_report, Scenario, ScenarioReport, TransportKind};
 use serde::Serialize;
-use std::path::PathBuf;
-
-struct Args {
-    quick: bool,
-    json: Option<PathBuf>,
-    md: Option<PathBuf>,
-    only: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut out = Args {
-        quick: false,
-        json: None,
-        md: None,
-        only: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => out.quick = true,
-            "--json" => out.json = it.next().map(PathBuf::from),
-            "--md" => out.md = it.next().map(PathBuf::from),
-            "--only" => out.only = it.next(),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: scenario_report [--quick] [--json <path>] [--md <path>] \
-                     [--only <substr>]"
-                );
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
-        }
-    }
-    out
-}
 
 #[derive(Serialize)]
 struct Bundle {
@@ -59,24 +18,13 @@ struct Bundle {
     reports: Vec<ScenarioReport>,
 }
 
-fn main() {
-    let args = parse_args();
+pub fn run(args: &Args) {
     // Quick mode keeps the cheap half of the catalog (static + dynamics
     // entries); the full run reports every catalog scenario.
     let scenarios: Vec<Scenario> = Scenario::catalog()
         .into_iter()
-        .filter(|sc| {
-            args.only
-                .as_deref()
-                .map(|s| sc.name.contains(s))
-                .unwrap_or(true)
-        })
         .filter(|sc| !args.quick || (sc.battery.is_none() && sc.mobile_mps.is_none()))
         .collect();
-    if scenarios.is_empty() {
-        eprintln!("no catalog scenario matches the filter");
-        std::process::exit(2);
-    }
 
     let mut reports = Vec::new();
     let mut markdown = String::new();

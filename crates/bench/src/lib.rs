@@ -1,55 +1,90 @@
 //! # jtp-bench — experiment harness
 //!
-//! One binary per figure/table of the paper (see DESIGN.md §4 for the
-//! index). Every binary accepts `--quick` (reduced replicas/durations for
-//! smoke runs) and `--json <path>` (machine-readable results next to the
-//! human-readable tables).
+//! Two binaries carry the experiments: `paper <name>` runs one figure,
+//! table or study of the paper (`paper all` runs every one of them), and
+//! `scenarios <matrix|report>` runs the scenario-catalog sweeps. Each
+//! experiment accepts `--quick` (reduced replicas/durations for smoke
+//! runs) and `--json <path>` (machine-readable results next to the
+//! human-readable tables). README's "Paper experiments" section lists
+//! them.
 //!
-//! The binaries print the same rows/series the paper reports; absolute
+//! The experiments print the same rows/series the paper reports; absolute
 //! values differ from the paper's OPNET/JAVeLEN numbers (different radio
 //! constants), but the *shape* — who wins, by what factor, where the
-//! crossovers fall — is the reproduction target (see EXPERIMENTS.md).
+//! crossovers fall — is the reproduction target. Each shape is a
+//! [`Claim`], printed by [`render_claims`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use jtp_netsim::{ExperimentConfig, FlowSpec};
+use jtp_netsim::FlowSpec;
 use jtp_sim::{NodeId, SimDuration, SimRng};
 use serde::Serialize;
 use std::path::PathBuf;
 
-/// Common command-line arguments of the experiment binaries.
+/// One subcommand of an experiment binary and the flags it takes besides
+/// `--quick`. A flag the chosen subcommand does not take is a **usage
+/// error, never a silent skip**: a CI job passing a flag that was renamed
+/// or dropped must turn red, not upload an artifact missing the data it
+/// gates on.
+#[derive(Clone, Copy, Debug)]
+pub struct Command {
+    /// The subcommand name, the first argument.
+    pub name: &'static str,
+    /// Takes `--json <path>`.
+    pub json: bool,
+    /// Takes `--md <path>`.
+    pub md: bool,
+    /// The names `--section` (repeatable) may take; empty means the
+    /// subcommand takes no `--section`.
+    pub sections: &'static [&'static str],
+}
+
+impl Command {
+    /// A subcommand taking `--quick` and `--json <path>` only.
+    pub const fn new(name: &'static str) -> Command {
+        Command {
+            name,
+            json: true,
+            md: false,
+            sections: &[],
+        }
+    }
+
+    fn usage(&self) -> String {
+        let sections = format!(" [--section <{}>]...", self.sections.join("|"));
+        [
+            (self.json, " [--json <path>]"),
+            (self.md, " [--md <path>]"),
+            (!self.sections.is_empty(), &sections),
+        ]
+        .iter()
+        .filter(|(takes, _)| *takes)
+        .fold(format!("{} [--quick]", self.name), |u, (_, f)| u + f)
+    }
+}
+
+/// Parsed command line of an experiment binary.
 #[derive(Clone, Debug, Default)]
 pub struct Args {
+    /// The chosen subcommand's [`Command::name`].
+    pub command: &'static str,
     /// Reduced replicas and durations (CI-friendly).
     pub quick: bool,
     /// Optional JSON output path.
     pub json: Option<PathBuf>,
-    /// Named sections to run (empty = all). Only populated by
-    /// [`Args::parse_with_sections`]; the plain [`Args::parse`] rejects
-    /// `--section` outright, so a binary without sections can never
-    /// accept the flag and silently ignore it.
+    /// Optional markdown output path.
+    pub md: Option<PathBuf>,
+    /// Named sections to run (empty = all).
     pub sections: Vec<String>,
 }
 
 impl Args {
-    /// Parse from `std::env::args`. `--section` is an error here — use
-    /// [`Args::parse_with_sections`] in binaries that define sections.
-    pub fn parse() -> Args {
-        Self::parse_or_exit(None)
-    }
-
-    /// Parse from `std::env::args`, accepting `--section <name>`
-    /// (repeatable) restricted to `known`. A request for a section this
-    /// binary does not have is a **hard error, never a silent skip**: a
-    /// CI job asking for a section that was renamed or dropped must
-    /// turn red, not upload an artifact missing the data it gates on.
-    pub fn parse_with_sections(known: &[&str]) -> Args {
-        Self::parse_or_exit(Some(known))
-    }
-
-    fn parse_or_exit(known: Option<&[&str]>) -> Args {
-        Self::parse_inner(std::env::args().skip(1), known).unwrap_or_else(|(code, msg)| {
+    /// Parse `std::env::args` as `<bin> <command> [flags]` against
+    /// `commands`; print the message and exit on `--help` (0) or a usage
+    /// error (2).
+    pub fn parse(bin: &str, commands: &[Command]) -> Args {
+        Self::try_parse(bin, commands, std::env::args().skip(1)).unwrap_or_else(|(code, msg)| {
             eprintln!("{msg}");
             std::process::exit(code)
         })
@@ -58,51 +93,53 @@ impl Args {
     /// Parse `args` (without the program name). `Err((code, message))`
     /// means print the message and exit with the code: 0 for `--help`,
     /// 2 for a usage error.
-    fn parse_inner(
-        mut it: impl Iterator<Item = String>,
-        known: Option<&[&str]>,
+    pub fn try_parse(
+        bin: &str,
+        commands: &[Command],
+        args: impl IntoIterator<Item = String>,
     ) -> Result<Args, (i32, String)> {
-        let mut out = Args::default();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--quick" => out.quick = true,
-                "--json" => match it.next() {
-                    Some(p) => out.json = Some(PathBuf::from(p)),
-                    None => return Err((2, "--json requires a path".into())),
-                },
-                "--section" => {
-                    let Some(known) = known else {
-                        return Err((
-                            2,
-                            "this binary has no sections; --section is not supported".into(),
-                        ));
-                    };
-                    match it.next() {
-                        Some(s) if known.iter().any(|k| *k == s) => out.sections.push(s),
-                        Some(s) => {
-                            return Err((
-                                2,
-                                format!(
-                                    "unknown --section {s:?}; this binary has: {}",
-                                    known.join(", ")
-                                ),
-                            ))
-                        }
-                        None => return Err((2, "--section requires a name".into())),
-                    }
+        let usage = commands.iter().fold("usage:".to_string(), |u, c| {
+            u + &format!("\n  {bin} {}", c.usage())
+        });
+        let mut it = args.into_iter();
+        let first = it.next().unwrap_or_default();
+        let Some(cmd) = commands.iter().find(|c| c.name == first) else {
+            return Err(match first.as_str() {
+                "--help" | "-h" => (0, usage),
+                "" => (2, usage),
+                _ => (2, format!("unknown command {first:?}\n{usage}")),
+            });
+        };
+        let mut out = Args {
+            command: cmd.name,
+            ..Args::default()
+        };
+        let cmd_usage = || format!("usage: {bin} {}", cmd.usage());
+        while let Some(flag) = it.next() {
+            let takes = match flag.as_str() {
+                "--quick" => {
+                    out.quick = true;
+                    continue;
                 }
-                "--help" | "-h" => {
-                    let section = if known.is_some() {
-                        " [--section <name>]..."
-                    } else {
-                        ""
-                    };
-                    return Err((
-                        0,
-                        format!("usage: <bin> [--quick] [--json <path>]{section}"),
-                    ));
-                }
-                other => return Err((2, format!("unknown argument {other}"))),
+                "--help" | "-h" => return Err((0, cmd_usage())),
+                "--json" => cmd.json,
+                "--md" => cmd.md,
+                "--section" => !cmd.sections.is_empty(),
+                _ => return Err((2, format!("unknown argument {flag}"))),
+            };
+            if !takes {
+                let msg = format!("{} does not take {flag}; {}", cmd.name, cmd_usage());
+                return Err((2, msg));
+            }
+            let Some(value) = it.next() else {
+                let what = if flag == "--section" { "name" } else { "path" };
+                return Err((2, format!("{flag} requires a {what}")));
+            };
+            match flag.as_str() {
+                "--json" => out.json = Some(value.into()),
+                "--md" => out.md = Some(value.into()),
+                _ if cmd.sections.contains(&value.as_str()) => out.sections.push(value),
+                _ => return Err((2, format!("unknown --section {value:?}; {}", cmd_usage()))),
             }
         }
         Ok(out)
@@ -124,36 +161,69 @@ impl Args {
     }
 }
 
-/// Print a fixed-width table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n== {title} ==");
-    let widths: Vec<usize> = headers
-        .iter()
-        .enumerate()
-        .map(|(i, h)| {
-            rows.iter()
-                .map(|r| r.get(i).map(|c| c.len()).unwrap_or(0))
-                .chain(std::iter::once(h.len()))
-                .max()
-                .unwrap_or(0)
+/// One paper-shape claim an experiment checks, and whether it held.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Claim {
+    /// What the paper says, e.g. "JTP lowest energy/bit".
+    pub text: &'static str,
+    /// Whether this run reproduced it.
+    pub pass: bool,
+}
+
+impl Claim {
+    /// A claim and its verdict.
+    pub fn new(text: &'static str, pass: bool) -> Claim {
+        Claim { text, pass }
+    }
+}
+
+/// The claim block as printed: one `shape check: <text>: PASS|FAIL` line
+/// per claim, after a blank line when `blank_line` is set.
+pub fn render_claims(claims: &[Claim], blank_line: bool) -> String {
+    let mut out = String::new();
+    if blank_line {
+        out.push('\n');
+    }
+    for c in claims {
+        let verdict = if c.pass { "PASS" } else { "FAIL" };
+        out.push_str(&format!("shape check: {}: {verdict}\n", c.text));
+    }
+    out
+}
+
+/// The tail of a paper experiment: print its claims after a blank line,
+/// write `results` to the `--json` path if one was given, and hand the
+/// claims back.
+pub fn finish<T: Serialize>(args: &Args, results: &T, claims: Vec<Claim>) -> Vec<Claim> {
+    print!("{}", render_claims(&claims, true));
+    maybe_write_json(args, results);
+    claims
+}
+
+/// Print a fixed-width table with one row per item.
+pub fn print_table<T>(title: &str, headers: &[&str], items: &[T], row: impl Fn(&T) -> Vec<String>) {
+    let header = headers.iter().map(|h| h.to_string()).collect();
+    let rows: Vec<Vec<String>> = std::iter::once(header)
+        .chain(items.iter().map(row))
+        .collect();
+    let widths: Vec<usize> = (0..headers.len())
+        .map(|i| {
+            let cell = |r: &Vec<String>| r.get(i).map_or(0, String::len);
+            rows.iter().map(cell).max().unwrap_or(0)
         })
         .collect();
-    let fmt_row = |cells: &[String]| {
-        cells
+    println!("\n== {title} ==");
+    for (k, r) in rows.iter().enumerate() {
+        let cells: Vec<String> = r
             .iter()
             .zip(&widths)
             .map(|(c, w)| format!("{c:>w$}"))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    let hdr: Vec<String> = headers.iter().map(|s| s.to_string()).collect();
-    println!("{}", fmt_row(&hdr));
-    println!(
-        "{}",
-        "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1))
-    );
-    for r in rows {
-        println!("{}", fmt_row(r));
+            .collect();
+        println!("{}", cells.join("  "));
+        if k == 0 {
+            let rule = widths.iter().sum::<usize>() + 2 * (widths.len() - 1);
+            println!("{}", "-".repeat(rule));
+        }
     }
 }
 
@@ -250,18 +320,17 @@ pub fn random_flows(
         .collect()
 }
 
-/// Attach pre-generated flows to a config.
-pub fn with_flows(mut cfg: ExperimentConfig, flows: Vec<FlowSpec>) -> ExperimentConfig {
-    cfg.flows = flows;
-    cfg
-}
-
 /// Mean of a slice (0 on empty).
 pub fn mean(xs: &[f64]) -> f64 {
+    mean_by(xs, |&x| x)
+}
+
+/// Mean of `f` over a slice (0 on empty).
+pub fn mean_by<T>(xs: &[T], f: impl Fn(&T) -> f64) -> f64 {
     if xs.is_empty() {
         0.0
     } else {
-        xs.iter().sum::<f64>() / xs.len() as f64
+        xs.iter().map(f).sum::<f64>() / xs.len() as f64
     }
 }
 
@@ -328,30 +397,57 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
-    fn parse(args: &[&str], known: Option<&[&str]>) -> Result<Args, (i32, String)> {
-        Args::parse_inner(args.iter().map(|a| a.to_string()), known)
+    const COMMANDS: [Command; 3] = [
+        Command::new("fig"),
+        Command {
+            sections: &["a"],
+            ..Command::new("matrix")
+        },
+        Command {
+            md: true,
+            ..Command::new("report")
+        },
+    ];
+
+    fn parse(args: &[&str]) -> Result<Args, (i32, String)> {
+        Args::try_parse("bin", &COMMANDS, args.iter().map(|a| a.to_string()))
     }
 
     #[test]
     fn json_flag_requires_a_path() {
-        let args = parse(&["--quick", "--json", "out.json"], None).unwrap();
-        assert!(args.quick);
+        let args = parse(&["fig", "--quick", "--json", "out.json"]).unwrap();
+        assert_eq!((args.command, args.quick), ("fig", true));
         assert_eq!(args.json, Some(PathBuf::from("out.json")));
         assert_eq!(
-            parse(&["--quick", "--json"], None).unwrap_err(),
+            parse(&["fig", "--quick", "--json"]).unwrap_err(),
             (2, "--json requires a path".to_string())
         );
+        assert_eq!(
+            parse(&["report", "--quick", "--md"]).unwrap_err(),
+            (2, "--md requires a path".to_string())
+        );
+        let args = parse(&["report", "--json", "a.json", "--md", "a.md"]).unwrap();
+        assert_eq!(args.md, Some(PathBuf::from("a.md")));
     }
 
     #[test]
     fn section_flag_is_checked_against_known_sections() {
-        assert_eq!(parse(&["--section", "a"], None).unwrap_err().0, 2);
-        assert_eq!(parse(&["--section", "b"], Some(&["a"])).unwrap_err().0, 2);
-        assert_eq!(parse(&["--section"], Some(&["a"])).unwrap_err().0, 2);
-        let args = parse(&["--section", "a"], Some(&["a"])).unwrap();
+        assert_eq!(parse(&["fig", "--section", "a"]).unwrap_err().0, 2);
+        assert_eq!(parse(&["matrix", "--section", "b"]).unwrap_err().0, 2);
+        assert_eq!(parse(&["matrix", "--section"]).unwrap_err().0, 2);
+        let args = parse(&["matrix", "--section", "a"]).unwrap();
         assert_eq!(args.sections, vec!["a".to_string()]);
-        assert_eq!(parse(&["--help"], None).unwrap_err().0, 0);
-        assert_eq!(parse(&["--bogus"], None).unwrap_err().0, 2);
+        assert_eq!(parse(&["--help"]).unwrap_err().0, 0);
+        assert_eq!(parse(&["fig", "--help"]).unwrap_err().0, 0);
+        for bad in [
+            &[][..],
+            &["--quick", "fig"],
+            &["fig", "--bogus"],
+            &["fig", "--md", "x"],
+            &["report", "--only", "grid"],
+        ] {
+            assert_eq!(parse(bad).unwrap_err().0, 2, "{bad:?}");
+        }
     }
 
     #[test]

@@ -878,7 +878,7 @@ impl Scenario {
 
     /// The canonical scenario catalog: one entry per workload/dynamics/
     /// topology family. The golden-trace regression tests pin each
-    /// entry's JTP metrics byte-for-byte, and `scenario_matrix` sweeps
+    /// entry's JTP metrics byte-for-byte, and `scenarios matrix` sweeps
     /// the grid across transports.
     pub fn catalog() -> Vec<Scenario> {
         vec![
@@ -1430,7 +1430,7 @@ impl Scenario {
     }
 
     /// The heavy-traffic adversarial slice of the catalog (flash crowds,
-    /// heavy tails, incast storms) — the `scenario_matrix` transports
+    /// heavy tails, incast storms) — the `scenarios matrix` transports
     /// section sweeps exactly these across all five transports.
     pub fn heavy_catalog() -> Vec<Scenario> {
         Self::catalog()
