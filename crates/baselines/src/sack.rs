@@ -202,6 +202,8 @@ pub(crate) struct SackScoreboard<M: Copy> {
     /// passes them.
     outstanding: BTreeMap<u32, M>,
     sacked: BTreeSet<u32>,
+    /// Keys of `outstanding` that are not in `sacked`.
+    inflight: u64,
     rtx_queue: VecDeque<u32>,
     next_send: SimTime,
     rto_deadline: Option<SimTime>,
@@ -217,6 +219,7 @@ impl<M: Copy> SackScoreboard<M> {
             cum_ack: 0,
             outstanding: BTreeMap::new(),
             sacked: BTreeSet::new(),
+            inflight: 0,
             rtx_queue: VecDeque::new(),
             next_send: SimTime::ZERO,
             rto_deadline: None,
@@ -238,10 +241,7 @@ impl<M: Copy> SackScoreboard<M> {
 
     /// Segments outstanding and not SACKed.
     pub(crate) fn inflight(&self) -> u64 {
-        self.outstanding
-            .keys()
-            .filter(|s| !self.sacked.contains(s))
-            .count() as u64
+        self.inflight
     }
 
     fn has_backlog(&self) -> bool {
@@ -256,9 +256,8 @@ impl<M: Copy> SackScoreboard<M> {
     /// The next segment to send and whether it is a retransmission.
     /// Queued retransmissions go first; an entry whose segment has since
     /// been cumulatively ACKed or SACKed is stale and skipped. A fresh
-    /// segment goes only if `fresh_allowed` says so. It is asked only when
-    /// a fresh segment is the candidate, so a check that scans the
-    /// scoreboard (BBR's inflight cap) costs nothing on a retransmission.
+    /// segment goes only if `fresh_allowed` says so (BBR's inflight cap).
+    /// It is asked only when a fresh segment is the candidate.
     pub(crate) fn pick(
         &mut self,
         fresh_allowed: impl FnOnce(&Self) -> bool,
@@ -285,7 +284,9 @@ impl<M: Copy> SackScoreboard<M> {
         gap: SimDuration,
         rto: SimDuration,
     ) {
-        self.outstanding.insert(seq, meta);
+        if self.outstanding.insert(seq, meta).is_none() && !self.sacked.contains(&seq) {
+            self.inflight += 1;
+        }
         if self.rto_deadline.is_none() {
             self.arm_rto(now, rto);
         }
@@ -330,6 +331,9 @@ impl<M: Copy> SackScoreboard<M> {
                 if *e.key() >= ack.cum_ack {
                     break;
                 }
+                if !self.sacked.contains(e.key()) {
+                    self.inflight -= 1;
+                }
                 freed.push(e.remove_entry());
             }
             self.sacked = self.sacked.split_off(&ack.cum_ack);
@@ -339,6 +343,7 @@ impl<M: Copy> SackScoreboard<M> {
         for s in ack.sack.iter().flat_map(SeqRange::iter) {
             if s >= self.cum_ack && self.sacked.insert(s) {
                 if let Some(&m) = self.outstanding.get(&s) {
+                    self.inflight -= 1;
                     freed.push((s, m));
                 }
             }
@@ -495,6 +500,64 @@ mod tests {
         let seqs: Vec<u32> = freed.iter().map(|&(s, _)| s).collect();
         assert_eq!(seqs, [0, 1, 2, 7, 6]);
         assert_eq!(b.inflight(), 2, "3 and 4");
+    }
+
+    /// The scan that `inflight()` replaced.
+    fn inflight_by_scan<M: Copy>(b: &SackScoreboard<M>) -> u64 {
+        b.outstanding
+            .keys()
+            .filter(|s| !b.sacked.contains(s))
+            .count() as u64
+    }
+
+    #[test]
+    fn inflight_count_matches_the_scan_under_random_loss_and_acks() {
+        let rto = SimDuration::from_millis(40);
+        for seed in 0..16 {
+            let mut rng = jtp_sim::SimRng::new(seed);
+            let mut b = SackScoreboard::<SimTime>::new(300);
+            let mut rx = TcpReceiver::new(FlowId(1), 2);
+            let mut in_flight_acks: Vec<TcpAck> = Vec::new();
+            let mut now = SimTime::ZERO;
+            while !b.is_complete() {
+                now += SimDuration::from_millis(1);
+                assert!(now < SimTime::ZERO + SimDuration::from_secs(600));
+                if b.fire_rto(now) {
+                    b.arm_rto(now, rto);
+                }
+                if let Some((seq, _)) = b.pick(|b| b.inflight() < 12) {
+                    b.sent(now, seq, now, SimDuration::ZERO, rto);
+                    let data = TcpData {
+                        flow: FlowId(1),
+                        seq,
+                        sent_at: now,
+                        payload_len: 100,
+                    };
+                    if !rng.chance(0.2) {
+                        in_flight_acks.extend(rx.on_data(now, &data));
+                    }
+                }
+                if rng.chance(0.1) {
+                    in_flight_acks.extend(rx.flush_ack());
+                }
+                // Deliver, drop or hold back a random pending ACK, so ACKs
+                // also arrive lost and out of order.
+                if !in_flight_acks.is_empty() && rng.chance(0.5) {
+                    let a = in_flight_acks.swap_remove(rng.below(in_flight_acks.len()));
+                    if !rng.chance(0.2) {
+                        let before = b.cum_ack();
+                        b.on_ack(&a);
+                        assert_eq!(b.inflight(), inflight_by_scan(&b));
+                        b.infer_losses(&a);
+                        if b.cum_ack() > before {
+                            b.arm_rto(now, rto);
+                        }
+                    }
+                }
+                assert_eq!(b.inflight(), inflight_by_scan(&b), "seed {seed}");
+            }
+            assert_eq!(b.inflight(), 0);
+        }
     }
 
     #[test]

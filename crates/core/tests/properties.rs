@@ -10,33 +10,6 @@ use jtp_sim::{FlowId, SimDuration};
 use proptest::prelude::*;
 use std::collections::HashMap;
 
-fn arb_data_packet() -> impl Strategy<Value = DataPacket> {
-    (
-        any::<u16>(),
-        any::<u32>(),
-        0.0f32..1000.0,
-        0.0f64..=1.0,
-        any::<u16>(),
-        any::<u32>(),
-        any::<u32>(),
-        any::<u32>(),
-        0u16..=2000,
-    )
-        .prop_map(
-            |(flow, seq, rate, lt, hops, budget, used, deadline, len)| DataPacket {
-                flow: FlowId(flow),
-                seq,
-                rate_pps: rate,
-                loss_tolerance: lt,
-                remaining_hops: hops,
-                energy_budget_nj: budget,
-                energy_used_nj: used,
-                deadline_ms: deadline,
-                payload_len: len,
-            },
-        )
-}
-
 fn arb_ranges(max_len: usize) -> impl Strategy<Value = Vec<SeqRange>> {
     proptest::collection::vec((0u32..100_000, 0u32..50), 0..max_len).prop_map(|pairs| {
         // Build non-overlapping ascending ranges.
@@ -128,53 +101,6 @@ impl ModelCache {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Data-header codec round-trips every representable packet.
-    #[test]
-    fn data_codec_roundtrip(pkt in arb_data_packet()) {
-        let bytes = pkt.to_bytes();
-        let back = DataPacket::decode(&bytes).unwrap();
-        prop_assert_eq!(back.flow, pkt.flow);
-        prop_assert_eq!(back.seq, pkt.seq);
-        prop_assert_eq!(back.remaining_hops, pkt.remaining_hops);
-        prop_assert_eq!(back.energy_budget_nj, pkt.energy_budget_nj);
-        prop_assert_eq!(back.energy_used_nj, pkt.energy_used_nj);
-        prop_assert_eq!(back.payload_len, pkt.payload_len);
-        prop_assert!((back.loss_tolerance - pkt.loss_tolerance).abs() < 1e-4);
-        // Rate survives bit-exactly (f32 on the wire).
-        prop_assert_eq!(back.rate_pps, pkt.rate_pps);
-    }
-
-    /// ACK codec round-trips whenever the ranges fit the wire budget.
-    #[test]
-    fn ack_codec_roundtrip(
-        flow in any::<u16>(),
-        cum in any::<u32>(),
-        snack in arb_ranges(8),
-        recovered in arb_ranges(8),
-        rate in 0.0f32..1000.0,
-        budget in any::<u32>(),
-        timeout_us in 0u64..100_000_000,
-    ) {
-        let ack = AckPacket {
-            flow: FlowId(flow),
-            cum_ack: cum,
-            snack,
-            locally_recovered: recovered,
-            rate_pps: rate,
-            energy_budget_nj: budget,
-            timeout: SimDuration::from_micros(timeout_us),
-        };
-        let bytes = ack.to_bytes();
-        prop_assert_eq!(bytes.len(), jtp::packet::ACK_PACKET_BYTES);
-        let back = AckPacket::decode(&bytes).unwrap();
-        if ack.snack.len() + ack.locally_recovered.len() <= jtp::packet::MAX_ACK_RANGES {
-            prop_assert_eq!(back, ack);
-        } else {
-            // Truncation keeps a prefix, SNACK first.
-            prop_assert!(back.snack.len() <= ack.snack.len());
-        }
-    }
 
     /// compress/expand are inverses on sorted deduplicated input.
     #[test]

@@ -4,12 +4,13 @@
 //! radio range): candidate pairs come from same-or-adjacent cells and the
 //! **exact same float predicate** (`pathloss.in_range(distance)`) the
 //! reference all-pairs scan uses decides membership — so the grid path
-//! is bit-identical to [`adjacency_from_positions_brute`] (pinned by the
-//! boundary tests and the `spatial_grid_matches_brute_force` proptest)
-//! while costing O(n·k) per mobility tick instead of O(n²). Never switch
-//! the grid path to a squared-distance comparison: `sqrt` rounding can
-//! make `d² < r²` and `sqrt(d²) < r` disagree for distances at the range
-//! boundary, which would flake every byte-equivalence pin downstream.
+//! is bit-identical to the test-only all-pairs scan
+//! `adjacency_from_positions_brute` (pinned by the boundary tests and the
+//! `spatial_grid_matches_brute_force` proptest) while costing O(n·k) per
+//! mobility tick instead of O(n²). Never switch the grid path to a
+//! squared-distance comparison: `sqrt` rounding can make `d² < r²` and
+//! `sqrt(d²) < r` disagree for distances at the range boundary, which
+//! would flake every byte-equivalence pin downstream.
 
 use crate::config::{ConfigError, TopologyKind};
 use jtp_phys::{Field, PathLoss, Point, SpatialGrid};
@@ -112,7 +113,7 @@ fn cluster_centers(clusters: usize, spacing: f64) -> Vec<Point> {
 /// Spatial-grid fast path (see the module docs): candidate pairs come
 /// from a uniform hash with cell size = `max_range`, the range decision
 /// is the identical float predicate the brute-force scan applies, and
-/// the result is bit-identical to [`adjacency_from_positions_brute`].
+/// the result is bit-identical to the all-pairs scan.
 pub fn adjacency_from_positions(positions: &[Point], pathloss: &PathLoss) -> Adjacency {
     let n = positions.len();
     let mut adj = Adjacency::new(n);
@@ -261,6 +262,7 @@ pub fn geometry_edge_diff(
 
 /// The all-pairs scan: the reference oracle the grid path is pinned
 /// against.
+#[cfg(test)]
 pub fn adjacency_from_positions_brute(positions: &[Point], pathloss: &PathLoss) -> Adjacency {
     let n = positions.len();
     let mut adj = Adjacency::new(n);
@@ -313,6 +315,7 @@ pub fn field_for(kind: &TopologyKind) -> Field {
 mod tests {
     use super::*;
     use crate::config::TopologyKind;
+    use proptest::prelude::*;
 
     fn pl() -> PathLoss {
         PathLoss::javelen_default()
@@ -502,7 +505,7 @@ mod tests {
     }
 
     /// Grid-backed adjacency is bit-identical to the all-pairs scan on
-    /// assorted placements (the proptest in `tests/` widens the sweep).
+    /// assorted placements (the proptest below widens the sweep).
     #[test]
     fn grid_adjacency_matches_brute_on_catalog_shapes() {
         let pl = pl();
@@ -596,5 +599,34 @@ mod tests {
         };
         let f = field_for(&kind);
         assert!(f.width >= 7.0 * 55.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Spatial-grid adjacency is bit-identical to the brute-force
+        /// all-pairs scan for arbitrary placements and radio ranges —
+        /// including clumped placements where many nodes share a cell and
+        /// sparse ones where most cells are empty.
+        #[test]
+        fn spatial_grid_matches_brute_force(
+            seed in any::<u64>(),
+            n in 2usize..120,
+            side in 20.0f64..900.0,
+            max_range in 30.0f64..200.0,
+        ) {
+            let mut rng = jtp_sim::SimRng::derive(seed, "grid-vs-brute");
+            let pts: Vec<Point> = (0..n)
+                .map(|_| Point::new(rng.uniform(0.0, side), rng.uniform(0.0, side)))
+                .collect();
+            let pl = PathLoss {
+                full_quality_range: max_range * 0.6,
+                max_range,
+                ..PathLoss::javelen_default()
+            };
+            let grid = adjacency_from_positions(&pts, &pl);
+            let brute = adjacency_from_positions_brute(&pts, &pl);
+            prop_assert_eq!(grid, brute, "grid vs brute diverged (n={}, range={})", n, max_range);
+        }
     }
 }

@@ -22,8 +22,6 @@
 //! produces the identical adjacency a from-scratch rebuild would — the
 //! skip-engine byte-equivalence suite and this module's tests pin that.
 
-use crate::topology::adjacency_from_positions;
-use jtp_phys::{PathLoss, Point};
 use jtp_routing::Adjacency;
 use jtp_sim::NodeId;
 
@@ -175,6 +173,7 @@ impl MaskedTruth {
     /// Replace the geometric adjacency and re-derive the effective truth
     /// from scratch — the reference oracle
     /// [`MaskedTruth::apply_geometry_diff`] is pinned against.
+    #[cfg(test)]
     pub fn set_geometry(&mut self, geo: Adjacency) {
         assert_eq!(geo.len(), self.len(), "geometry node count mismatch");
         self.geo = geo;
@@ -188,7 +187,7 @@ impl MaskedTruth {
     /// exact old→new geometry diff (`old.diff_edges(&new)` or
     /// `topology::geometry_edge_diff` against an in-range edge list; the
     /// caller computes it anyway to feed the routing repair). The
-    /// resulting truth is identical to [`MaskedTruth::set_geometry`] on
+    /// resulting truth is identical to a scratch `set_geometry` on
     /// the new geometry: edges untouched by the diff keep a mask status
     /// that cannot have changed, and every touched edge is re-derived
     /// through the same `edge_allowed` predicate the scratch rebuild
@@ -201,15 +200,6 @@ impl MaskedTruth {
                 self.truth.set_edge(a, b, want);
             }
         }
-    }
-
-    /// Recompute positions → geometry (spatial-grid discovery) → masked
-    /// truth in one call, rebuilding the truth from scratch. The live
-    /// mobility tick instead applies a geometry *diff*
-    /// ([`MaskedTruth::apply_geometry_diff`]); this convenience remains
-    /// for tests and one-shot consumers.
-    pub fn set_positions(&mut self, positions: &[Point], pathloss: &PathLoss) {
-        self.set_geometry(adjacency_from_positions(positions, pathloss));
     }
 
     /// The effective adjacency derived from scratch — the reference the
@@ -404,5 +394,70 @@ mod tests {
                 "step {step}: incremental truth diverged from scratch rebuild"
             );
         }
+    }
+
+    /// Diffed mobility truth must equal the scratch `set_geometry` rebuild
+    /// across real random-waypoint trajectories — the exact per-tick shape
+    /// the network's mobility handler executes — with masks (a downed node,
+    /// a blocked link) layered on top.
+    #[test]
+    fn diffed_waypoint_truth_matches_scratch_rebuild() {
+        use crate::config::TopologyKind;
+        use crate::topology::{
+            adjacency_from_positions, adjacency_from_positions_brute, edges_from_positions,
+            field_for, geometry_edge_diff, place_nodes,
+        };
+        use jtp_phys::{MobilityModel, PathLoss, RandomWaypoint};
+        use jtp_sim::SimTime;
+        let kind = TopologyKind::Grid {
+            cols: 6,
+            rows: 6,
+            spacing_m: 80.0,
+        };
+        let pl = PathLoss::javelen_default();
+        let field = field_for(&kind);
+        let start = place_nodes(&kind, &pl, 4);
+        let mut walkers: Vec<RandomWaypoint> = start
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| RandomWaypoint::new(field, p, 2.5, 47.0, 5.0, 21, i as u64))
+            .collect();
+        let mut positions = start.clone();
+        let mut fast = MaskedTruth::new(adjacency_from_positions(&positions, &pl));
+        let mut scratch = fast.clone();
+        // Masks that must survive every geometry swap identically.
+        fast.set_node_up(NodeId(7), false);
+        scratch.set_node_up(NodeId(7), false);
+        fast.set_link_blocked(NodeId(0), NodeId(1), true);
+        scratch.set_link_blocked(NodeId(0), NodeId(1), true);
+        let mut total_changed = 0usize;
+        for tick in 1..=300u64 {
+            let now = SimTime::from_secs_f64(tick as f64);
+            for (i, w) in walkers.iter_mut().enumerate() {
+                positions[i] = w.position_at(now);
+            }
+            // The exact per-tick shape the network's mobility handler runs:
+            // sorted in-range edge list → merge-diff → in-place patch.
+            let edges = edges_from_positions(&positions, &pl);
+            let diff = geometry_edge_diff(fast.geometry(), &edges);
+            total_changed += diff.len();
+            fast.apply_geometry_diff(&diff);
+            scratch.set_geometry(adjacency_from_positions_brute(&positions, &pl));
+            assert_eq!(
+                fast.geometry(),
+                scratch.geometry(),
+                "tick {tick}: patched geometry diverged from the brute scan"
+            );
+            assert_eq!(
+                fast.adjacency(),
+                scratch.adjacency(),
+                "tick {tick}: diffed truth diverged from scratch rebuild"
+            );
+            assert_eq!(*fast.adjacency(), fast.rebuilt(), "tick {tick}");
+        }
+        assert!(
+            total_changed > 0,
+            "waypoint run never flipped a link — the test exercised nothing"
+        );
     }
 }

@@ -1,107 +1,12 @@
-//! Mobile-topology tests: the spatial-grid geometry path, the diffed
-//! mobility truth, the first-partition metrics fix, and the mobile
+//! Mobile-topology tests: the first-partition metrics fix and the mobile
 //! scale-family smoke (the CI `mobile-smoke` job runs this file in
-//! release mode).
+//! release mode). The spatial-grid and diffed-truth oracles live in the
+//! unit tests of `topology.rs` and `truth.rs`, next to the test-only
+//! reference paths they call.
 
 use jtp_netsim::scenario::Scenario;
-use jtp_netsim::topology::{
-    adjacency_from_positions, adjacency_from_positions_brute, edges_from_positions, field_for,
-    geometry_edge_diff, place_nodes,
-};
-use jtp_netsim::{
-    run_experiment, DynamicsAction, DynamicsEvent, ExperimentConfig, MaskedTruth, TopologyKind,
-    TransportKind,
-};
-use jtp_phys::{MobilityModel, PathLoss, Point, RandomWaypoint};
-use jtp_sim::{NodeId, SimTime};
-use proptest::prelude::*;
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Spatial-grid adjacency is bit-identical to the brute-force
-    /// all-pairs scan for arbitrary placements and radio ranges —
-    /// including clumped placements where many nodes share a cell and
-    /// sparse ones where most cells are empty.
-    #[test]
-    fn spatial_grid_matches_brute_force(
-        seed in any::<u64>(),
-        n in 2usize..120,
-        side in 20.0f64..900.0,
-        max_range in 30.0f64..200.0,
-    ) {
-        let mut rng = jtp_sim::SimRng::derive(seed, "grid-vs-brute");
-        let pts: Vec<Point> = (0..n)
-            .map(|_| Point::new(rng.uniform(0.0, side), rng.uniform(0.0, side)))
-            .collect();
-        let pl = PathLoss {
-            full_quality_range: max_range * 0.6,
-            max_range,
-            ..PathLoss::javelen_default()
-        };
-        let grid = adjacency_from_positions(&pts, &pl);
-        let brute = adjacency_from_positions_brute(&pts, &pl);
-        prop_assert_eq!(grid, brute, "grid vs brute diverged (n={}, range={})", n, max_range);
-    }
-}
-
-/// Diffed mobility truth must equal the scratch `set_geometry` rebuild
-/// across real random-waypoint trajectories — the exact per-tick shape
-/// the network's mobility handler executes — with masks (a downed node,
-/// a blocked link) layered on top.
-#[test]
-fn diffed_waypoint_truth_matches_scratch_rebuild() {
-    let kind = TopologyKind::Grid {
-        cols: 6,
-        rows: 6,
-        spacing_m: 80.0,
-    };
-    let pl = PathLoss::javelen_default();
-    let field = field_for(&kind);
-    let start = place_nodes(&kind, &pl, 4);
-    let mut walkers: Vec<RandomWaypoint> = start
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| RandomWaypoint::new(field, p, 2.5, 47.0, 5.0, 21, i as u64))
-        .collect();
-    let mut positions = start.clone();
-    let mut fast = MaskedTruth::new(adjacency_from_positions(&positions, &pl));
-    let mut scratch = fast.clone();
-    // Masks that must survive every geometry swap identically.
-    fast.set_node_up(NodeId(7), false);
-    scratch.set_node_up(NodeId(7), false);
-    fast.set_link_blocked(NodeId(0), NodeId(1), true);
-    scratch.set_link_blocked(NodeId(0), NodeId(1), true);
-    let mut total_changed = 0usize;
-    for tick in 1..=300u64 {
-        let now = SimTime::from_secs_f64(tick as f64);
-        for (i, w) in walkers.iter_mut().enumerate() {
-            positions[i] = w.position_at(now);
-        }
-        // The exact per-tick shape the network's mobility handler runs:
-        // sorted in-range edge list → merge-diff → in-place patch.
-        let edges = edges_from_positions(&positions, &pl);
-        let diff = geometry_edge_diff(fast.geometry(), &edges);
-        total_changed += diff.len();
-        fast.apply_geometry_diff(&diff);
-        scratch.set_geometry(adjacency_from_positions_brute(&positions, &pl));
-        assert_eq!(
-            fast.geometry(),
-            scratch.geometry(),
-            "tick {tick}: patched geometry diverged from the brute scan"
-        );
-        assert_eq!(
-            fast.adjacency(),
-            scratch.adjacency(),
-            "tick {tick}: diffed truth diverged from scratch rebuild"
-        );
-        assert_eq!(*fast.adjacency(), fast.rebuilt(), "tick {tick}");
-    }
-    assert!(
-        total_changed > 0,
-        "waypoint run never flipped a link — the test exercised nothing"
-    );
-}
+use jtp_netsim::{run_experiment, DynamicsAction, DynamicsEvent, ExperimentConfig, TransportKind};
+use jtp_sim::NodeId;
 
 /// A link blackout that cuts the only bridge must record
 /// `first_partition_s` even though no battery ever dies — the metric is

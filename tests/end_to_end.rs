@@ -197,30 +197,3 @@ fn zero_packet_flow_is_trivially_complete() {
     assert!(m.flows[0].completed);
     assert_eq!(m.delivered_packets, 0);
 }
-
-#[test]
-fn wire_codecs_round_trip_through_facade() {
-    use javelen::jtp::packet::{AckPacket, DataPacket, SeqRange};
-    let p = DataPacket {
-        flow: FlowId(9),
-        seq: 77,
-        rate_pps: 3.5,
-        loss_tolerance: 0.05,
-        remaining_hops: 3,
-        energy_budget_nj: 999,
-        energy_used_nj: 111,
-        deadline_ms: 0,
-        payload_len: 800,
-    };
-    assert_eq!(DataPacket::decode(&p.to_bytes()).unwrap().seq, 77);
-    let a = AckPacket {
-        flow: FlowId(9),
-        cum_ack: 5,
-        snack: vec![SeqRange::single(6)],
-        locally_recovered: vec![],
-        rate_pps: 2.0,
-        energy_budget_nj: 1,
-        timeout: SimDuration::from_secs(10),
-    };
-    assert_eq!(AckPacket::decode(&a.to_bytes()).unwrap(), a);
-}
