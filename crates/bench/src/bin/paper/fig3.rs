@@ -11,7 +11,9 @@
 //! larger for less tolerant flows and spikes during bad channel periods.
 
 use jtp_bench::{finish, mean_by, print_table, Args, Claim};
-use jtp_netsim::{run_many, run_traced, ExperimentConfig, TraceConfig, TransportKind};
+use jtp_netsim::{
+    run_many, try_run_subscribed, ExperimentConfig, TraceConfig, TraceSubscriber, TransportKind,
+};
 use jtp_sim::NodeId;
 use serde::Serialize;
 
@@ -86,13 +88,12 @@ pub fn run(args: &Args) -> Vec<Claim> {
             .duration_s(args.pick(1200.0, 400.0))
             .seed(333)
             .bulk_flow(args.pick(600, 150), 10.0, lt);
-        let (_, trace) = run_traced(
-            &cfg,
-            TraceConfig {
-                attempts_at: Some(NodeId(2)),
-                ..Default::default()
-            },
-        );
+        let tracer = TraceSubscriber::new(TraceConfig {
+            attempts_at: Some(NodeId(2)),
+            ..Default::default()
+        });
+        let (_, tracer) = try_run_subscribed(&cfg, tracer).expect("valid config");
+        let trace = tracer.into_log();
         // Bucket the budgets into 20 s bins, printing the max per bin
         // (mirrors the paper's scatter of per-packet budgets).
         let bin = 20.0;

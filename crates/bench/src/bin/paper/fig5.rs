@@ -13,7 +13,9 @@
 //!   recovered packets' airtime to the other flow.
 
 use jtp_bench::{finish, mean, mean_by, Args, Claim};
-use jtp_netsim::{run_traced, ExperimentConfig, FlowSpec, TraceConfig, TransportKind};
+use jtp_netsim::{
+    try_run_subscribed, ExperimentConfig, FlowSpec, TraceConfig, TraceSubscriber, TransportKind,
+};
 use jtp_phys::gilbert::GilbertConfig;
 use jtp_sim::{FlowId, NodeId, SimDuration, SimTime};
 use serde::Serialize;
@@ -60,13 +62,12 @@ fn run_one(args: &Args, backoff: bool, seed: u64) -> (Variant, Series, Series) {
         bad_loss_floor: 0.85,
         ..GilbertConfig::paper_default()
     };
-    let (m, trace) = run_traced(
-        &cfg,
-        TraceConfig {
-            receptions: true,
-            ..Default::default()
-        },
-    );
+    let tracer = TraceSubscriber::new(TraceConfig {
+        receptions: true,
+        ..Default::default()
+    });
+    let (m, tracer) = try_run_subscribed(&cfg, tracer).expect("valid config");
+    let trace = tracer.into_log();
     let end = SimTime::from_secs_f64(duration);
     let short = |f: u16| {
         trace.reception_rate_series(

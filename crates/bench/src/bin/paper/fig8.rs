@@ -9,7 +9,9 @@
 //! departure of flow 2.
 
 use jtp_bench::{finish, mean, Args, Claim};
-use jtp_netsim::{run_traced, ExperimentConfig, FlowSpec, TraceConfig, TransportKind};
+use jtp_netsim::{
+    try_run_subscribed, ExperimentConfig, FlowSpec, TraceConfig, TraceSubscriber, TransportKind,
+};
 use jtp_sim::{FlowId, NodeId, SimDuration, SimTime};
 use serde::Serialize;
 
@@ -50,14 +52,13 @@ pub fn run(args: &Args) -> Vec<Claim> {
             loss_tolerance: 0.0,
             initial_rate_pps: None,
         });
-    let (_m, trace) = run_traced(
-        &cfg,
-        TraceConfig {
-            receptions: true,
-            monitor_of: Some(FlowId(0)),
-            ..Default::default()
-        },
-    );
+    let tracer = TraceSubscriber::new(TraceConfig {
+        receptions: true,
+        monitor_of: Some(FlowId(0)),
+        ..Default::default()
+    });
+    let (_, tracer) = try_run_subscribed(&cfg, tracer).expect("valid config");
+    let trace = tracer.into_log();
 
     let end = SimTime::from_secs_f64(duration);
     let w = SimDuration::from_secs(50);

@@ -9,11 +9,6 @@
 //!
 //! Run: `cargo run --release -p jtp-bench --bin paper -- lifetime
 //! --quick --json BENCH_lifetime.json`
-//!
-//! The report is **merged** into the `--json` target under a `"lifetime"`
-//! key via [`jtp_bench::merge_json_section`]: every other section of an
-//! existing JSON object (e.g. `BENCH_engine.json`) is preserved verbatim,
-//! a previous `"lifetime"` section is replaced in place.
 
 use jtp_bench::{mean_by, Args, Claim};
 use jtp_netsim::{run_many, Scenario, TransportKind};
@@ -132,9 +127,6 @@ pub fn run(args: &Args) -> Vec<Claim> {
         quick: args.quick,
         cells,
     };
-    if let Some(path) = &args.json {
-        let body = serde_json::to_string_pretty(&report).expect("serialisable report");
-        jtp_bench::merge_json_section(path, "lifetime", &body);
-    }
+    jtp_bench::maybe_write_json(args, &report);
     Vec::new()
 }

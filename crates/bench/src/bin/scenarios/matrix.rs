@@ -13,13 +13,14 @@
 //!   adversarial scenarios × all five transports, scored on fairness
 //!   (Jain's index over per-flow goodput), latency (mean flow completion
 //!   time) and lifetime (first battery death, death count, energy per
-//!   bit). Merged into the `--json` target as a `"transports"` section,
-//!   preserving whatever else the file holds (e.g. `BENCH_engine.json`).
+//!   bit).
+//!
+//! `--json` writes one object, `{"quick", "catalog", "transports"}`, with
+//! one list of cells per section; a section `--section` left out is an
+//! empty list.
 //!
 //! Run: `cargo run --release -p jtp-bench --bin scenarios -- matrix --quick
-//! --json BENCH_scenarios.json`, or
-//! `cargo run --release -p jtp-bench --bin scenarios -- matrix --section
-//! transports --json BENCH_engine.json`
+//! --json BENCH_scenarios.json`
 
 use jtp_bench::{mean_by, Args};
 use jtp_netsim::{run_many, summarize_runs, FlowMetrics, Scenario, TransportKind};
@@ -50,12 +51,6 @@ struct Cell {
     no_route_drops: f64,
 }
 
-#[derive(Serialize)]
-struct Report {
-    quick: bool,
-    cells: Vec<Cell>,
-}
-
 /// One (heavy scenario, transport) cell of the opponents matrix.
 #[derive(Serialize)]
 struct TransportCell {
@@ -78,9 +73,10 @@ struct TransportCell {
 }
 
 #[derive(Serialize)]
-struct TransportReport {
+struct Matrix {
     quick: bool,
-    cells: Vec<TransportCell>,
+    catalog: Vec<Cell>,
+    transports: Vec<TransportCell>,
 }
 
 /// Jain's fairness index `(Σx)² / (n·Σx²)`; 1.0 for an empty or all-zero
@@ -96,7 +92,7 @@ fn jain(xs: &[f64]) -> f64 {
     }
 }
 
-fn catalog_section(args: &Args, seeds: usize) {
+fn catalog_section(seeds: usize) -> Vec<Cell> {
     let mut cells = Vec::new();
     for sc in Scenario::catalog() {
         for (t, tname) in TRANSPORTS {
@@ -148,14 +144,10 @@ fn catalog_section(args: &Args, seeds: usize) {
             ]
         },
     );
-    let report = Report {
-        quick: args.quick,
-        cells,
-    };
-    jtp_bench::maybe_write_json(args, &report);
+    cells
 }
 
-fn transports_section(args: &Args, seeds: usize) {
+fn transports_section(seeds: usize) -> Vec<TransportCell> {
     let heavy = Scenario::heavy_catalog();
     assert!(!heavy.is_empty(), "the catalog lost its heavy-* entries");
     let mut cells = Vec::new();
@@ -218,21 +210,20 @@ fn transports_section(args: &Args, seeds: usize) {
             ]
         },
     );
-    let report = TransportReport {
-        quick: args.quick,
-        cells,
-    };
-    if let Some(path) = &args.json {
-        let body = serde_json::to_string_pretty(&report).expect("serialisable report");
-        jtp_bench::merge_json_section(path, "transports", &body);
-    }
+    cells
 }
 
 pub fn run(args: &Args) {
+    let mut matrix = Matrix {
+        quick: args.quick,
+        catalog: Vec::new(),
+        transports: Vec::new(),
+    };
     if args.section_enabled("catalog") {
-        catalog_section(args, args.pick(8, 2));
+        matrix.catalog = catalog_section(args.pick(8, 2));
     }
     if args.section_enabled("transports") {
-        transports_section(args, args.pick(6, 2));
+        matrix.transports = transports_section(args.pick(6, 2));
     }
+    jtp_bench::maybe_write_json(args, &matrix);
 }

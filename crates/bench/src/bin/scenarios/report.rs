@@ -1,7 +1,7 @@
 //! Per-scenario reports: run a slice of the canonical catalog through the
 //! report subscriber stack and emit netbench-style artifacts — one
 //! deterministic JSON document (byte-identical across runs of the same
-//! build; the CI `report-smoke` job runs this twice and `cmp`s) plus a
+//! build; CI's `release-gate` job runs this twice and `cmp`s) plus a
 //! rendered markdown report with flow timelines, queue-depth histograms,
 //! drop/flood breakdowns and the wall-clock time accounting.
 //!
@@ -9,7 +9,7 @@
 //! --json BENCH_report.json --md BENCH_report.md`
 
 use jtp_bench::Args;
-use jtp_netsim::{render_markdown, run_report, Scenario, ScenarioReport, TransportKind};
+use jtp_netsim::{render_markdown, try_run_report, Scenario, ScenarioReport, TransportKind};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -29,7 +29,7 @@ pub fn run(args: &Args) {
     let mut reports = Vec::new();
     let mut markdown = String::new();
     for sc in &scenarios {
-        let (report, time) = run_report(sc, TransportKind::Jtp);
+        let (report, time) = try_run_report(sc, TransportKind::Jtp).expect("catalog lowers");
         println!(
             "{:<28} delivered {:>6} ({:>5.1}%) | {:>7.2} kbit/s | {:>8.3} µJ/bit | {} floods",
             report.scenario,

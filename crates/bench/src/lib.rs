@@ -2,11 +2,12 @@
 //!
 //! Two binaries carry the experiments: `paper <name>` runs one figure,
 //! table or study of the paper (`paper all` runs every one of them), and
-//! `scenarios <matrix|report>` runs the scenario-catalog sweeps. Each
-//! experiment accepts `--quick` (reduced replicas/durations for smoke
-//! runs) and `--json <path>` (machine-readable results next to the
-//! human-readable tables). README's "Paper experiments" section lists
-//! them.
+//! `scenarios <matrix|report|fuzz>` runs the scenario-catalog sweeps and
+//! the differential fuzzer. Each experiment accepts `--quick` (reduced
+//! replicas/durations for smoke runs) and `--json <path>`
+//! (machine-readable results next to the human-readable tables); README's
+//! "Paper experiments" section lists them. `fuzz` takes its case window
+//! instead ([`FuzzWindow`]).
 //!
 //! The experiments print the same rows/series the paper reports; absolute
 //! values differ from the paper's OPNET/JAVeLEN numbers (different radio
@@ -22,11 +23,10 @@ use jtp_sim::{NodeId, SimDuration, SimRng};
 use serde::Serialize;
 use std::path::PathBuf;
 
-/// One subcommand of an experiment binary and the flags it takes besides
-/// `--quick`. A flag the chosen subcommand does not take is a **usage
-/// error, never a silent skip**: a CI job passing a flag that was renamed
-/// or dropped must turn red, not upload an artifact missing the data it
-/// gates on.
+/// One subcommand of an experiment binary and the flags it takes. A flag
+/// the chosen subcommand does not take is a **usage error, never a silent
+/// skip**: a CI job passing a flag that was renamed or dropped must turn
+/// red, not upload an artifact missing the data it gates on.
 #[derive(Clone, Copy, Debug)]
 pub struct Command {
     /// The subcommand name, the first argument.
@@ -38,6 +38,9 @@ pub struct Command {
     /// The names `--section` (repeatable) may take; empty means the
     /// subcommand takes no `--section`.
     pub sections: &'static [&'static str],
+    /// Takes the [`FuzzWindow`] flags (`--cases`, `--seed`, `--start`,
+    /// `--repro-file`) instead of `--quick`: the window sizes the run.
+    pub fuzz: bool,
 }
 
 impl Command {
@@ -48,19 +51,51 @@ impl Command {
             json: true,
             md: false,
             sections: &[],
+            fuzz: false,
         }
     }
 
     fn usage(&self) -> String {
         let sections = format!(" [--section <{}>]...", self.sections.join("|"));
         [
+            (!self.fuzz, " [--quick]"),
             (self.json, " [--json <path>]"),
             (self.md, " [--md <path>]"),
             (!self.sections.is_empty(), &sections),
+            (
+                self.fuzz,
+                " [--cases <n>] [--seed <n>] [--start <n>] [--repro-file <path>]",
+            ),
         ]
         .iter()
         .filter(|(takes, _)| *takes)
-        .fold(format!("{} [--quick]", self.name), |u, (_, f)| u + f)
+        .fold(self.name.to_string(), |u, (_, f)| u + f)
+    }
+}
+
+/// The window of generated cases `scenarios fuzz` sweeps: indices
+/// `start..start + cases` of generator `seed`. The parser guarantees the
+/// end fits in a `u64`.
+#[derive(Clone, Debug, PartialEq)]
+pub struct FuzzWindow {
+    /// Number of cases (`--cases`, default 500).
+    pub cases: u64,
+    /// Generator seed (`--seed`, default 1).
+    pub seed: u64,
+    /// First case index (`--start`, default 0).
+    pub start: u64,
+    /// Where to write the repros of failing cases (`--repro-file`).
+    pub repro_file: Option<PathBuf>,
+}
+
+impl Default for FuzzWindow {
+    fn default() -> FuzzWindow {
+        FuzzWindow {
+            cases: 500,
+            seed: 1,
+            start: 0,
+            repro_file: None,
+        }
     }
 }
 
@@ -77,6 +112,8 @@ pub struct Args {
     pub md: Option<PathBuf>,
     /// Named sections to run (empty = all).
     pub sections: Vec<String>,
+    /// The fuzz case window.
+    pub fuzz: FuzzWindow,
 }
 
 impl Args {
@@ -117,30 +154,52 @@ impl Args {
         let cmd_usage = || format!("usage: {bin} {}", cmd.usage());
         while let Some(flag) = it.next() {
             let takes = match flag.as_str() {
-                "--quick" => {
-                    out.quick = true;
-                    continue;
-                }
                 "--help" | "-h" => return Err((0, cmd_usage())),
+                "--quick" => !cmd.fuzz,
                 "--json" => cmd.json,
                 "--md" => cmd.md,
                 "--section" => !cmd.sections.is_empty(),
+                "--cases" | "--seed" | "--start" | "--repro-file" => cmd.fuzz,
                 _ => return Err((2, format!("unknown argument {flag}"))),
             };
             if !takes {
                 let msg = format!("{} does not take {flag}; {}", cmd.name, cmd_usage());
                 return Err((2, msg));
             }
+            if flag == "--quick" {
+                out.quick = true;
+                continue;
+            }
             let Some(value) = it.next() else {
-                let what = if flag == "--section" { "name" } else { "path" };
+                let what = match flag.as_str() {
+                    "--section" => "name",
+                    "--cases" | "--seed" | "--start" => "number",
+                    _ => "path",
+                };
                 return Err((2, format!("{flag} requires a {what}")));
+            };
+            let number = || {
+                value
+                    .parse::<u64>()
+                    .map_err(|e| (2, format!("{flag} {value:?}: {e}")))
             };
             match flag.as_str() {
                 "--json" => out.json = Some(value.into()),
                 "--md" => out.md = Some(value.into()),
+                "--cases" => out.fuzz.cases = number()?,
+                "--seed" => out.fuzz.seed = number()?,
+                "--start" => out.fuzz.start = number()?,
+                "--repro-file" => out.fuzz.repro_file = Some(value.into()),
                 _ if cmd.sections.contains(&value.as_str()) => out.sections.push(value),
                 _ => return Err((2, format!("unknown --section {value:?}; {}", cmd_usage()))),
             }
+        }
+        let FuzzWindow { start, cases, .. } = out.fuzz;
+        if start.checked_add(cases).is_none() {
+            return Err((
+                2,
+                format!("--start {start} + --cases {cases} overflows u64"),
+            ));
         }
         Ok(out)
     }
@@ -225,57 +284,6 @@ pub fn print_table<T>(title: &str, headers: &[&str], items: &[T], row: impl Fn(&
             println!("{}", "-".repeat(rule));
         }
     }
-}
-
-/// Merge `{"<key>": body}` into an existing pretty-printed JSON object
-/// file, or write a fresh one. Purely textual (the compat stand-ins have
-/// no JSON parser), relying on the 2-space serde pretty format this crate
-/// always writes: top-level keys — and only top-level keys — start a line
-/// with exactly two spaces. An existing `"<key>"` section is replaced in
-/// place (bounded by the next top-level key or the closing brace); every
-/// other section is preserved verbatim. Non-object targets are refused
-/// instead of silently corrupted.
-pub fn merge_json_section(path: &std::path::Path, key: &str, body_json: &str) {
-    let entry = format!("\n  \"{key}\": {}", body_json.replace('\n', "\n  "));
-    let merged = match std::fs::read_to_string(path) {
-        Ok(existing) => {
-            let t = existing.trim_end();
-            assert!(
-                t.starts_with('{') && t.ends_with('}'),
-                "{path:?} is not a JSON object; refusing to merge a \"{key}\" section into it"
-            );
-            let inner = &t[1..t.len() - 1];
-            let marker = format!("\n  \"{key}\":");
-            let (before, after) = match inner.find(&marker) {
-                Some(pos) => {
-                    let rest = &inner[pos + marker.len()..];
-                    let end = rest
-                        .find("\n  \"")
-                        .map(|e| pos + marker.len() + e)
-                        .unwrap_or(inner.len());
-                    (&inner[..pos], &inner[end..])
-                }
-                None => (inner, ""),
-            };
-            let mut out = String::from("{");
-            let before = before.trim_end().trim_end_matches(',');
-            if !before.trim().is_empty() {
-                out.push_str(before);
-                out.push(',');
-            }
-            out.push_str(&entry);
-            let after = after.trim_end();
-            if !after.trim().is_empty() {
-                out.push(',');
-                out.push_str(after);
-            }
-            out.push_str("\n}");
-            out
-        }
-        Err(_) => format!("{{{entry}\n}}"),
-    };
-    std::fs::write(path, merged).unwrap_or_else(|e| panic!("writing {path:?}: {e}"));
-    println!("\n[\"{key}\" section written to {path:?}]");
 }
 
 /// Serialise results to the requested JSON path, if any.
@@ -365,39 +373,7 @@ mod tests {
         assert_eq!(mean(&[2.0, 4.0]), 3.0);
     }
 
-    #[test]
-    fn merge_json_section_inserts_replaces_and_preserves() {
-        let dir = std::env::temp_dir().join(format!("jtp-bench-merge-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("merged.json");
-        let _ = std::fs::remove_file(&path);
-
-        // Fresh file.
-        merge_json_section(&path, "alpha", "{\n  \"x\": 1\n}");
-        let got = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(got, "{\n  \"alpha\": {\n    \"x\": 1\n  }\n}");
-
-        // Append a second section, preserving the first verbatim.
-        merge_json_section(&path, "beta", "[1, 2]");
-        let got = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(
-            got,
-            "{\n  \"alpha\": {\n    \"x\": 1\n  },\n  \"beta\": [1, 2]\n}"
-        );
-
-        // Replace a *non-trailing* section in place; the tail survives.
-        merge_json_section(&path, "alpha", "7");
-        let got = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(got, "{\n  \"alpha\": 7,\n  \"beta\": [1, 2]\n}");
-
-        // Replace the trailing section.
-        merge_json_section(&path, "beta", "8");
-        let got = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(got, "{\n  \"alpha\": 7,\n  \"beta\": 8\n}");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    const COMMANDS: [Command; 3] = [
+    const COMMANDS: [Command; 4] = [
         Command::new("fig"),
         Command {
             sections: &["a"],
@@ -406,6 +382,11 @@ mod tests {
         Command {
             md: true,
             ..Command::new("report")
+        },
+        Command {
+            json: false,
+            fuzz: true,
+            ..Command::new("fuzz")
         },
     ];
 
@@ -428,6 +409,27 @@ mod tests {
         );
         let args = parse(&["report", "--json", "a.json", "--md", "a.md"]).unwrap();
         assert_eq!(args.md, Some(PathBuf::from("a.md")));
+        assert_eq!(
+            parse(&["fuzz", "--repro-file"]).unwrap_err(),
+            (2, "--repro-file requires a path".to_string())
+        );
+        for flag in ["--cases", "--seed", "--start"] {
+            assert_eq!(
+                parse(&["fuzz", flag]).unwrap_err(),
+                (2, format!("{flag} requires a number"))
+            );
+        }
+        let args = parse(&["fuzz", "--repro-file", "r.txt", "--start", "7"]).unwrap();
+        assert_eq!(args.command, "fuzz");
+        assert_eq!(
+            args.fuzz,
+            FuzzWindow {
+                start: 7,
+                repro_file: Some(PathBuf::from("r.txt")),
+                ..FuzzWindow::default()
+            }
+        );
+        assert_eq!((args.fuzz.cases, args.fuzz.seed), (500, 1));
     }
 
     #[test]
@@ -445,9 +447,24 @@ mod tests {
             &["fig", "--bogus"],
             &["fig", "--md", "x"],
             &["report", "--only", "grid"],
+            // The fuzz window: only `fuzz` takes it, it takes nothing
+            // else, its numbers are u64s and its end must fit in one.
+            &["fig", "--cases", "1"],
+            &["matrix", "--seed", "1"],
+            &["report", "--start", "1"],
+            &["fig", "--repro-file", "r.txt"],
+            &["fuzz", "--quick"],
+            &["fuzz", "--json", "f.json"],
+            &["fuzz", "--section", "a"],
+            &["fuzz", "--cases", "many"],
+            &["fuzz", "--seed", "-1"],
+            &["fuzz", "--start", "1.5"],
+            &["fuzz", "--start", "18446744073709551615", "--cases", "2"],
+            &["fuzz", "--cases", "2", "--start", "18446744073709551615"],
         ] {
             assert_eq!(parse(bad).unwrap_err().0, 2, "{bad:?}");
         }
+        assert!(parse(&["fuzz", "--start", "18446744073709551614", "--cases", "1"]).is_ok());
     }
 
     #[test]

@@ -15,11 +15,11 @@ use jtp_sim::{NodeId, SimDuration};
 ///
 /// Every malformed-input path in the simulator funnels through this type:
 /// [`ExperimentConfig::validate`] is the single choke point, and the
-/// fallible entry points (`Network::try_new`, `try_run_experiment`,
-/// `Scenario::try_build`, `try_place_nodes`) surface it instead of
-/// panicking. The variants are coarse-grained by *which knob* was wrong,
-/// so fuzzers and CLIs can branch on the class while humans read the
-/// embedded reason.
+/// fallible entry points (`Network::try_with_subscriber`,
+/// `try_run_subscribed`, `Scenario::try_build`, `try_place_nodes`)
+/// surface it instead of panicking. The variants are coarse-grained by
+/// *which knob* was wrong, so fuzzers and CLIs can branch on the class
+/// while humans read the embedded reason.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ConfigError {
     /// Node placement parameters are unusable (too few nodes,
@@ -610,7 +610,7 @@ impl ExperimentConfig {
     }
 
     /// Validate cross-field consistency. The single choke point every run
-    /// entry point (`Network::try_new`, `try_run_experiment`,
+    /// entry point (`Network::try_with_subscriber`, `try_run_subscribed`,
     /// `Scenario::try_build`) passes through: a config that validates
     /// runs without panicking, however degenerate its outcome.
     pub fn validate(&self) -> Result<(), ConfigError> {

@@ -34,7 +34,7 @@
 //! [`repro`](CaseReport::repro) is self-contained: the generator seed +
 //! case index + the generated [`Scenario`], ready to paste into a test.
 //!
-//! Drive it with `cargo run --release -p jtp-bench --bin fuzz_scenarios`.
+//! Drive it with `cargo run --release -p jtp-bench --bin scenarios -- fuzz`.
 
 use crate::config::{
     ConfigError, DynamicsAction, DynamicsEvent, RoutingBackendKind, TopologyKind, TransportKind,
@@ -42,11 +42,11 @@ use crate::config::{
 use crate::metrics::Metrics;
 use crate::network::cluster_spec_for;
 use crate::report::ReportRecorder;
-use crate::runner::{run_many_on, try_run_digest_events, try_run_digest_with, try_run_experiment};
+use crate::runner::{run_many_on, try_run_digest_with, try_run_subscribed};
 use crate::scenario::{DynamicsSpec, Scenario, TrafficPattern};
 use crate::topology::{adjacency_from_positions, try_place_nodes};
 use crate::trace::EventChecksum;
-use jtp_events::TimeAccountant;
+use jtp_events::{NoopSubscriber, TimeAccountant};
 use jtp_phys::BatteryConfig;
 use jtp_routing::{BackendSelect, LinkState, UNREACHABLE};
 use jtp_sim::{NodeId, SimRng, SimTime};
@@ -132,7 +132,7 @@ impl CaseReport {
             self.seed, self.index, self.transport
         ));
         out.push_str(&format!(
-            "rerun: cargo run --release -p jtp-bench --bin fuzz_scenarios -- \
+            "rerun: cargo run --release -p jtp-bench --bin scenarios -- fuzz \
              --seed {} --start {} --cases 1\n",
             self.seed, self.index
         ));
@@ -311,8 +311,8 @@ pub fn check_scenario(sc: &Scenario, transport: TransportKind) -> CaseOutcome {
     {
         let mut c = cfg.clone();
         c.idle_slot_skipping = false;
-        match try_run_experiment(&c) {
-            Ok(m) => {
+        match try_run_subscribed(&c, NoopSubscriber) {
+            Ok((m, _)) => {
                 engine_runs += 1;
                 if json(&m) != jbase {
                     failures.push("idle-slot skipping vs naive engine diverged".into());
@@ -326,8 +326,9 @@ pub fn check_scenario(sc: &Scenario, transport: TransportKind) -> CaseOutcome {
 
     // The plain digest + event checksum: the reference the
     // subscriber-stack oracle below compares against.
-    match try_run_digest_events(&cfg) {
+    match try_run_digest_with(&cfg, EventChecksum::default()) {
         Ok((d1, ev1)) => {
+            let ev1 = ev1.finish();
             engine_runs += 1;
             let line1 = d1.to_line(&sc.name);
             // Subscribers observe, never perturb: stacking the full
@@ -377,8 +378,8 @@ pub fn check_scenario(sc: &Scenario, transport: TransportKind) -> CaseOutcome {
             c.duration.as_secs_f64() + 60.0,
             DynamicsAction::NodeDown(NodeId(0)),
         ));
-        match try_run_experiment(&c) {
-            Ok(m) => {
+        match try_run_subscribed(&c, NoopSubscriber) {
+            Ok((m, _)) => {
                 engine_runs += 1;
                 if json(&m) != jbase {
                     failures.push("post-horizon dynamics perturbed the run".into());
@@ -1154,8 +1155,8 @@ mod tests {
 
     #[test]
     fn oracle_stack_passes_a_window_of_cases() {
-        // A smoke window; the fuzz_scenarios binary (and CI's fuzz-smoke
-        // job) sweep hundreds.
+        // A smoke window; `scenarios fuzz` (and CI's fuzz job) sweep
+        // hundreds.
         let g = ScenarioGen::new(1);
         for i in 0..6 {
             let r = g.run_case(i);

@@ -55,13 +55,11 @@ pub use fuzz::{
 pub use metrics::{FlowMetrics, Metrics};
 pub use network::{cluster_spec_for, Event, Network};
 pub use report::{
-    render_markdown, run_report, try_run_report, FlowReport, ReportRecorder, ScenarioReport,
-    TimeBreakdown,
+    render_markdown, try_run_report, FlowReport, ReportRecorder, ScenarioReport, TimeBreakdown,
 };
 pub use runner::{
-    run_digest, run_digest_events, run_experiment, run_many, run_many_on, run_subscribed,
-    run_traced, summarize_runs, try_run_digest, try_run_digest_events, try_run_digest_with,
-    try_run_experiment, try_run_subscribed, try_run_traced, GoldenDigest, Summary,
+    run_experiment, run_many, run_many_on, summarize_runs, try_run_digest_with, try_run_subscribed,
+    GoldenDigest, Summary,
 };
 pub use scenario::{DynamicsSpec, Scenario, TrafficPattern};
 pub use trace::{EventChecksum, TraceConfig, TraceLog, TraceSubscriber};

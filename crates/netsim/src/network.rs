@@ -56,7 +56,6 @@ use crate::payload::{Payload, TransportPacket};
 use crate::topology::{
     adjacency_from_positions, field_for, geometry_edge_diff, try_place_nodes, EdgeScratch,
 };
-use crate::trace::{TraceConfig, TraceLog, TraceSubscriber};
 use crate::truth::MaskedTruth;
 use jtp::{IjtpModule, JtpReceiver, JtpSender, LinkInfo, PreXmitVerdict};
 use jtp_baselines::atp::{AtpReceiver, AtpSender};
@@ -240,9 +239,9 @@ struct Node {
     mobility: Mobility,
 }
 
-/// One experiment run: build with [`Network::with_subscriber`] (or
-/// [`Network::new`] for the [`TraceSubscriber`]-instrumented form),
-/// drive with [`jtp_sim::run_until`], harvest with [`Network::metrics`].
+/// One experiment run: build with [`Network::try_with_subscriber`], drive
+/// with [`jtp_sim::run_until`], harvest with [`Network::metrics`] —
+/// the steps [`crate::runner::try_run_subscribed`] takes.
 ///
 /// The subscriber is a **type parameter**, not a field behind a flag:
 /// every event emission site is gated on the compile-time
@@ -348,47 +347,10 @@ pub struct Network<S: Subscriber = NoopSubscriber> {
     completed_flows: usize,
 }
 
-impl Network<TraceSubscriber> {
-    /// Build a [`TraceConfig`]-instrumented network and its event queue
-    /// from a validated configuration — the traced front door behind
-    /// every golden digest.
-    ///
-    /// Panics on an invalid configuration; [`Network::try_new`] reports
-    /// the [`ConfigError`] instead.
-    pub fn new(
-        cfg: &ExperimentConfig,
-        trace_cfg: TraceConfig,
-    ) -> (Network<TraceSubscriber>, EventQueue<Event>) {
-        Network::try_new(cfg, trace_cfg).expect("invalid experiment configuration")
-    }
-
-    /// [`Network::new`] with invalid or unplaceable configurations
-    /// reported as [`ConfigError`] — the panic-free front door generated
-    /// (fuzzer) scenarios come through.
-    pub fn try_new(
-        cfg: &ExperimentConfig,
-        trace_cfg: TraceConfig,
-    ) -> Result<(Network<TraceSubscriber>, EventQueue<Event>), ConfigError> {
-        Network::try_with_subscriber(cfg, TraceSubscriber::new(trace_cfg))
-    }
-
-    /// The trace collected so far.
-    pub fn trace(&self) -> &TraceLog {
-        self.sub.log()
-    }
-}
-
 impl<S: Subscriber> Network<S> {
-    /// Build a network wired to an arbitrary event subscriber. With the
-    /// default [`NoopSubscriber`] the event layer compiles to nothing.
-    ///
-    /// Panics on an invalid configuration; use
-    /// [`Network::try_with_subscriber`] to report the error instead.
-    pub fn with_subscriber(cfg: &ExperimentConfig, sub: S) -> (Network<S>, EventQueue<Event>) {
-        Network::try_with_subscriber(cfg, sub).expect("invalid experiment configuration")
-    }
-
-    /// [`Network::with_subscriber`], returning configuration errors.
+    /// Build a network wired to an arbitrary event subscriber, with
+    /// invalid or unplaceable configurations reported as [`ConfigError`].
+    /// With [`NoopSubscriber`] the event layer compiles to nothing.
     pub fn try_with_subscriber(
         cfg: &ExperimentConfig,
         sub: S,
@@ -614,12 +576,6 @@ impl<S: Subscriber> Network<S> {
             net.sync_slot_event(SimTime::ZERO, &mut queue);
         }
         Ok((net, queue))
-    }
-
-    /// The attached subscriber (read-only — the engine's contract is
-    /// that subscriber state never influences simulation results).
-    pub fn subscriber(&self) -> &S {
-        &self.sub
     }
 
     /// Consume the network, keeping the subscriber — the harvest path
@@ -1882,7 +1838,8 @@ mod tests {
             .find(|s| s.name == "xl-grid-churn")
             .expect("xl-grid-churn in the xl catalog");
         let cfg = sc.build(TransportKind::Jtp);
-        let (mut net, mut queue) = Network::with_subscriber(&cfg, NoopSubscriber);
+        let (mut net, mut queue) =
+            Network::try_with_subscriber(&cfg, NoopSubscriber).expect("valid config");
         assert!(
             net.channels.iter().all(Vec::is_empty),
             "a fading process was stored before any attempt"

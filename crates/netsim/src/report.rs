@@ -211,7 +211,7 @@ pub struct EventTotals {
 
 /// A per-scenario report. Every field is a pure function of the scenario
 /// — serializing two runs of the same scenario yields byte-identical
-/// JSON (the CI `report-smoke` job asserts exactly that). Wall-clock
+/// JSON (CI's `release-gate` job asserts exactly that). Wall-clock
 /// data deliberately has no field here; see [`TimeBreakdown`].
 #[derive(Clone, Debug, Serialize)]
 pub struct ScenarioReport {
@@ -403,15 +403,8 @@ fn timeline(times: &[f64], duration_s: f64) -> Vec<(f64, f64)> {
 }
 
 /// Run one catalog scenario under a full report stack and return the
-/// deterministic report plus the (host-dependent) time breakdown.
-///
-/// Panics on a malformed scenario; [`try_run_report`] reports the
-/// [`ConfigError`] instead.
-pub fn run_report(sc: &Scenario, transport: TransportKind) -> (ScenarioReport, TimeBreakdown) {
-    try_run_report(sc, transport).expect("invalid scenario")
-}
-
-/// [`run_report`] with malformed scenarios reported as [`ConfigError`].
+/// deterministic report plus the (host-dependent) time breakdown, or the
+/// [`ConfigError`] of a malformed scenario.
 pub fn try_run_report(
     sc: &Scenario,
     transport: TransportKind,
@@ -583,8 +576,8 @@ mod tests {
     #[test]
     fn report_json_is_deterministic_across_runs() {
         let sc = small_scenario();
-        let (a, _) = run_report(&sc, TransportKind::Jtp);
-        let (b, _) = run_report(&sc, TransportKind::Jtp);
+        let (a, _) = try_run_report(&sc, TransportKind::Jtp).expect("catalog lowers");
+        let (b, _) = try_run_report(&sc, TransportKind::Jtp).expect("catalog lowers");
         let ja = serde_json::to_string(&a).expect("report serialises");
         let jb = serde_json::to_string(&b).expect("report serialises");
         assert_eq!(ja, jb, "report JSON must be byte-identical across runs");
@@ -596,7 +589,7 @@ mod tests {
         let sc = small_scenario();
         let cfg = sc.try_build(TransportKind::Jtp).expect("catalog lowers");
         let m = crate::runner::run_experiment(&cfg);
-        let (r, time) = run_report(&sc, TransportKind::Jtp);
+        let (r, time) = try_run_report(&sc, TransportKind::Jtp).expect("catalog lowers");
         assert_eq!(r.delivered_packets, m.delivered_packets);
         assert_eq!(r.events.fresh_deliveries, m.delivered_packets);
         assert_eq!(r.flows.len(), m.flows.len());

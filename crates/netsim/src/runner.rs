@@ -10,42 +10,32 @@
 use crate::config::{ConfigError, ExperimentConfig};
 use crate::metrics::Metrics;
 use crate::network::Network;
-use crate::trace::{TraceConfig, TraceLog, TraceSubscriber};
+use crate::trace::{TraceConfig, TraceSubscriber};
 use jtp_events::{NoopSubscriber, Subscriber};
+use jtp_sim::run_until;
 use jtp_sim::stats::ci95_halfwidth;
-use jtp_sim::{run_until, SimTime};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Run one experiment to completion and return its metrics.
+/// Run one experiment to completion and return its metrics — the
+/// convenience for configurations known to be valid.
 ///
-/// Panics on an invalid configuration; [`try_run_experiment`] reports
+/// Panics on an invalid configuration; [`try_run_subscribed`] reports
 /// the [`ConfigError`] instead.
 pub fn run_experiment(cfg: &ExperimentConfig) -> Metrics {
     // `NoopSubscriber` monomorphizes every event emission away — this is
-    // the zero-overhead hot path (pinned by the `events` bench section).
-    run_subscribed(cfg, NoopSubscriber).0
+    // the zero-overhead hot path.
+    try_run_subscribed(cfg, NoopSubscriber)
+        .expect("invalid experiment configuration")
+        .0
 }
 
-/// [`run_experiment`] with invalid configurations reported as
-/// [`ConfigError`] — the panic-free entry point for generated scenarios.
-pub fn try_run_experiment(cfg: &ExperimentConfig) -> Result<Metrics, ConfigError> {
-    try_run_subscribed(cfg, NoopSubscriber).map(|(m, _)| m)
-}
-
-/// Run one experiment with an arbitrary event [`Subscriber`] attached and
-/// return it alongside the metrics — the generic core every other entry
-/// point wraps. Subscribers observe the run; they never perturb it
-/// (enforced by the subscriber-equivalence tests).
-///
-/// Panics on an invalid configuration; [`try_run_subscribed`] reports the
-/// [`ConfigError`] instead.
-pub fn run_subscribed<S: Subscriber>(cfg: &ExperimentConfig, sub: S) -> (Metrics, S) {
-    try_run_subscribed(cfg, sub).expect("invalid experiment configuration")
-}
-
-/// [`run_subscribed`] with invalid configurations reported as
-/// [`ConfigError`].
+/// Run one experiment with an event [`Subscriber`] attached and return it
+/// alongside the metrics, or the [`ConfigError`] of an invalid or
+/// unplaceable configuration — the core every run goes through.
+/// Subscribers observe the run; they never perturb it (enforced by the
+/// subscriber-equivalence tests). A traced run passes a
+/// [`TraceSubscriber`] and keeps its `into_log()`.
 pub fn try_run_subscribed<S: Subscriber>(
     cfg: &ExperimentConfig,
     sub: S,
@@ -66,23 +56,6 @@ pub fn try_run_subscribed<S: Subscriber>(
     };
     let m = net.metrics(now);
     Ok((m, net.into_subscriber()))
-}
-
-/// Run one experiment with tracing enabled.
-///
-/// Panics on an invalid configuration; [`try_run_traced`] reports the
-/// [`ConfigError`] instead.
-pub fn run_traced(cfg: &ExperimentConfig, trace: TraceConfig) -> (Metrics, TraceLog) {
-    try_run_traced(cfg, trace).expect("invalid experiment configuration")
-}
-
-/// [`run_traced`] with invalid configurations reported as [`ConfigError`].
-pub fn try_run_traced(
-    cfg: &ExperimentConfig,
-    trace: TraceConfig,
-) -> Result<(Metrics, TraceLog), ConfigError> {
-    let (m, sub) = try_run_subscribed(cfg, TraceSubscriber::new(trace))?;
-    Ok((m, sub.into_log()))
 }
 
 /// A batch summary of one scalar metric across independent seeds.
@@ -187,7 +160,8 @@ pub struct GoldenDigest {
     /// FNV-1a over the full JSON encoding of [`Metrics`] (every counter,
     /// every per-node energy bit pattern).
     pub metrics_fnv: u64,
-    /// [`TraceLog::checksum`] of the reception event stream.
+    /// [`TraceLog::checksum`](crate::trace::TraceLog::checksum) of the
+    /// reception event stream.
     pub trace_checksum: u64,
 }
 
@@ -208,21 +182,14 @@ impl GoldenDigest {
 }
 
 /// Run `cfg` with reception tracing and digest the outcome (see
-/// [`GoldenDigest`]).
-pub fn run_digest(cfg: &ExperimentConfig) -> GoldenDigest {
-    try_run_digest(cfg).expect("invalid experiment configuration")
-}
-
-/// [`run_digest`] with invalid configurations reported as [`ConfigError`].
-pub fn try_run_digest(cfg: &ExperimentConfig) -> Result<GoldenDigest, ConfigError> {
-    try_run_digest_with(cfg, NoopSubscriber).map(|(d, _)| d)
-}
-
-/// [`try_run_digest`] with an extra subscriber stacked next to the
-/// digest's reception trace. The digest is computed from the trace half
-/// of the stack exactly as [`try_run_digest`] computes it, so for any
-/// `extra` the digest must be byte-identical to the plain one — the
+/// [`GoldenDigest`]), with `extra` stacked next to the digest's reception
+/// trace and handed back. The digest is computed from the trace half of
+/// the stack alone, so it must be byte-identical for any `extra` — the
 /// subscriber-equivalence tests and the fuzz oracle pin exactly that.
+/// Pass [`NoopSubscriber`] for the plain digest, or
+/// [`EventChecksum`](crate::trace::EventChecksum) for the third golden
+/// surface (`events.txt`) next to the metrics FNV and reception-trace
+/// checksum.
 pub fn try_run_digest_with<S: Subscriber>(
     cfg: &ExperimentConfig,
     extra: S,
@@ -232,42 +199,18 @@ pub fn try_run_digest_with<S: Subscriber>(
         ..Default::default()
     });
     let (m, (trace, extra)) = try_run_subscribed(cfg, (trace, extra))?;
-    Ok((digest_from_parts(&m, trace.log().checksum()), extra))
-}
-
-/// Assemble a [`GoldenDigest`] from harvested metrics and the reception
-/// trace checksum (shared by the plain and stacked digest runners).
-fn digest_from_parts(m: &Metrics, trace_checksum: u64) -> GoldenDigest {
-    let json = serde_json::to_string(m).expect("metrics serialise");
+    let json = serde_json::to_string(&m).expect("metrics serialise");
     let mut fnv = crate::trace::Fnv64::default();
     fnv.write(json.as_bytes());
-    GoldenDigest {
+    let digest = GoldenDigest {
         delivered: m.delivered_packets,
         delivery_ratio: m.delivery_ratio(),
         goodput_kbps: m.avg_goodput_kbps(),
         energy_per_bit_uj: m.energy_per_bit_uj(),
         metrics_fnv: fnv.finish(),
-        trace_checksum,
-    }
-}
-
-/// [`run_digest`] plus the [`crate::trace::EventChecksum`] over the full
-/// typed event stream — the third golden surface (`events.txt`) next to
-/// the digest's metrics FNV and reception-trace checksum. The digest half
-/// is byte-identical to [`run_digest`]'s (subscriber equivalence), so the
-/// pair extends the pinned surface without touching existing golden lines.
-///
-/// Panics on an invalid configuration; [`try_run_digest_events`] reports
-/// the [`ConfigError`] instead.
-pub fn run_digest_events(cfg: &ExperimentConfig) -> (GoldenDigest, u64) {
-    try_run_digest_events(cfg).expect("invalid experiment configuration")
-}
-
-/// [`run_digest_events`] with invalid configurations reported as
-/// [`ConfigError`].
-pub fn try_run_digest_events(cfg: &ExperimentConfig) -> Result<(GoldenDigest, u64), ConfigError> {
-    let (d, ev) = try_run_digest_with(cfg, crate::trace::EventChecksum::default())?;
-    Ok((d, ev.finish()))
+        trace_checksum: trace.log().checksum(),
+    };
+    Ok((digest, extra))
 }
 
 /// Convenience: batch-run and summarise energy-per-bit and goodput, the
@@ -280,11 +223,6 @@ pub fn summarize_runs(metrics: &[Metrics]) -> (Summary, Summary) {
         .collect();
     let gp: Vec<f64> = metrics.iter().map(|m| m.avg_goodput_kbps()).collect();
     (Summary::of(&epb), Summary::of(&gp))
-}
-
-/// Format a simulated end time for logs.
-pub fn fmt_time(t: SimTime) -> String {
-    format!("{:.1}s", t.as_secs_f64())
 }
 
 #[cfg(test)]
@@ -367,13 +305,12 @@ mod tests {
             .seed(57)
             .bulk_flow(30, 2.0, 0.0);
         let plain = run_experiment(&cfg);
-        let (traced, log) = run_traced(
-            &cfg,
-            crate::trace::TraceConfig {
-                receptions: true,
-                ..Default::default()
-            },
-        );
+        let trace = TraceSubscriber::new(TraceConfig {
+            receptions: true,
+            ..Default::default()
+        });
+        let (traced, sub) = try_run_subscribed(&cfg, trace).expect("valid config");
+        let log = sub.into_log();
         assert_eq!(
             plain.mac_attempts, traced.mac_attempts,
             "tracing must not perturb"

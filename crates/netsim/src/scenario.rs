@@ -1449,7 +1449,7 @@ impl Scenario {
     /// absorb at city scale: churn floods (cluster-scoped repair),
     /// mobility (per-tick geometry diffs into cluster splits), and
     /// heavy traffic (incast + flash crowds across long routes). CI's
-    /// `xl-smoke` job runs one entry under a wall-clock bound.
+    /// `release-gate` job runs one entry under a wall-clock bound.
     ///
     /// Every entry also shortens the TDMA slot to 1 ms: a 1024-node
     /// frame at the default 25 ms slot spans ~26 s, making multi-hop

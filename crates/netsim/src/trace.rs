@@ -14,7 +14,7 @@ use jtp_sim::{FlowId, NodeId, SimDuration, SimTime};
 
 /// Streaming FNV-1a (64-bit) — the one hash behind both golden-digest
 /// checksums ([`TraceLog::checksum`] and the metrics FNV in
-/// `runner::run_digest`), so the algorithm and its constants live in
+/// `runner::try_run_digest_with`), so the algorithm and its constants live in
 /// exactly one audited place.
 #[derive(Clone, Copy, Debug)]
 pub struct Fnv64(u64);

@@ -9,12 +9,19 @@
 //!   that die in seconds, zero-packet flows, no traffic at all) run to
 //!   completion with clean, conservation-respecting metrics.
 
+use jtp_events::NoopSubscriber;
 use jtp_netsim::scenario::{DynamicsSpec, Scenario, TrafficPattern};
 use jtp_netsim::{
-    try_run_experiment, ConfigError, ExperimentConfig, FlowSpec, TopologyKind, TransportKind,
+    try_run_subscribed, ConfigError, ExperimentConfig, FlowSpec, Metrics, TopologyKind,
+    TransportKind,
 };
 use jtp_phys::BatteryConfig;
 use jtp_sim::{NodeId, SimDuration};
+
+/// The panic-free front door, keeping only the metrics.
+fn try_run(cfg: &ExperimentConfig) -> Result<Metrics, ConfigError> {
+    try_run_subscribed(cfg, NoopSubscriber).map(|(m, _)| m)
+}
 
 // ---------------------------------------------------------------------
 // Degenerate but valid: must run, cleanly.
@@ -39,8 +46,8 @@ fn chain_spaced_beyond_radio_range_delivers_nothing_cleanly() {
         start_s: 2.0,
         loss_tolerance: 0.0,
     });
-    let m = try_run_experiment(&sc.try_build(TransportKind::Jtp).expect("valid"))
-        .expect("degenerate but valid");
+    let m =
+        try_run(&sc.try_build(TransportKind::Jtp).expect("valid")).expect("degenerate but valid");
     assert_eq!(m.delivered_packets, 0);
     assert_eq!(m.delivery_ratio(), 0.0);
     assert!(m.energy_total_j.is_finite());
@@ -71,8 +78,8 @@ fn partition_from_t0_keeps_endpoints_separated() {
         start_s: 0.0,
         end_s: 150.0,
     });
-    let m = try_run_experiment(&sc.try_build(TransportKind::Jtp).expect("valid"))
-        .expect("degenerate but valid");
+    let m =
+        try_run(&sc.try_build(TransportKind::Jtp).expect("valid")).expect("degenerate but valid");
     assert_eq!(
         m.delivered_packets, 0,
         "packets crossed a partition that never healed"
@@ -101,8 +108,8 @@ fn batteries_that_die_in_seconds_leave_clean_metrics() {
         capacity_j: 0.05,
         ..BatteryConfig::javelen_small()
     });
-    let m = try_run_experiment(&sc.try_build(TransportKind::Jtp).expect("valid"))
-        .expect("degenerate but valid");
+    let m =
+        try_run(&sc.try_build(TransportKind::Jtp).expect("valid")).expect("degenerate but valid");
     assert!(m.battery_deaths >= 1, "0.05 J outlived the run");
     assert!(m.battery_deaths <= 4);
     // The lifetime accounting must stay coherent however early they die.
@@ -137,7 +144,7 @@ fn zero_packet_flows_run_to_empty_metrics_on_every_transport() {
             SimDuration::from_secs_f64(5.0),
             0,
         )];
-        let m = try_run_experiment(&cfg).expect("zero-packet flow is valid");
+        let m = try_run(&cfg).expect("zero-packet flow is valid");
         assert_eq!(m.delivered_packets, 0, "{t:?}");
         assert_eq!(m.flows[0].offered_packets, 0, "{t:?}");
         assert_eq!(m.delivery_ratio(), 0.0, "{t:?}");
@@ -157,8 +164,8 @@ fn a_scenario_with_no_traffic_at_all_idles_cleanly() {
     )
     .duration_s(100.0)
     .seed(21);
-    let m = try_run_experiment(&sc.try_build(TransportKind::Jtp).expect("valid"))
-        .expect("no traffic is valid");
+    let m =
+        try_run(&sc.try_build(TransportKind::Jtp).expect("valid")).expect("no traffic is valid");
     assert_eq!(m.delivered_packets, 0);
     assert!(m.flows.is_empty());
     assert_eq!(m.delivery_ratio(), 0.0);
@@ -214,7 +221,7 @@ fn invalid_configs_error_instead_of_panicking() {
         ("zero duration", base().duration_s(0.0)),
     ];
     for (what, cfg) in cases {
-        let err = try_run_experiment(&cfg);
+        let err = try_run(&cfg);
         assert!(err.is_err(), "{what}: accepted an invalid config");
     }
 }

@@ -10,7 +10,8 @@
 //! across transports, loads, mobility and partial transfers.
 
 use jtp_netsim::{
-    run_experiment, run_traced, ExperimentConfig, FlowSpec, Metrics, TraceConfig, TransportKind,
+    run_experiment, try_run_subscribed, ExperimentConfig, FlowSpec, Metrics, TraceConfig, TraceLog,
+    TraceSubscriber, TransportKind,
 };
 use jtp_phys::gilbert::GilbertConfig;
 use jtp_sim::{NodeId, SimDuration};
@@ -441,10 +442,14 @@ fn traces_identical_under_skipping() {
         attempts_at: Some(NodeId(1)),
         ..Default::default()
     };
+    let run_traced = |cfg: &ExperimentConfig| -> (Metrics, TraceLog) {
+        let (m, sub) = try_run_subscribed(cfg, TraceSubscriber::new(trace_cfg)).expect("valid");
+        (m, sub.into_log())
+    };
     cfg.idle_slot_skipping = true;
-    let (m_fast, t_fast) = run_traced(&cfg, trace_cfg);
+    let (m_fast, t_fast) = run_traced(&cfg);
     cfg.idle_slot_skipping = false;
-    let (m_naive, t_naive) = run_traced(&cfg, trace_cfg);
+    let (m_naive, t_naive) = run_traced(&cfg);
     assert_identical(&m_fast, &m_naive, "traced");
     assert_eq!(t_fast.receptions, t_naive.receptions);
     assert_eq!(t_fast.attempts, t_naive.attempts);

@@ -3,7 +3,8 @@
 //! transport protocols.
 
 use jtp_netsim::{
-    run_experiment, run_traced, ExperimentConfig, FlowSpec, TraceConfig, TransportKind,
+    run_experiment, try_run_subscribed, ExperimentConfig, FlowSpec, TraceConfig, TraceSubscriber,
+    TransportKind,
 };
 use jtp_phys::gilbert::GilbertConfig;
 use jtp_sim::{NodeId, SimDuration};
@@ -181,7 +182,9 @@ fn traces_capture_receptions_and_attempts() {
         attempts_at: Some(NodeId(2)),
         monitor_of: Some(jtp_sim::FlowId(0)),
     };
-    let (m, trace) = run_traced(&quick(4, TransportKind::Jtp, 50, 0.10), trace_cfg);
+    let cfg = quick(4, TransportKind::Jtp, 50, 0.10);
+    let (m, sub) = try_run_subscribed(&cfg, TraceSubscriber::new(trace_cfg)).expect("valid");
+    let trace = sub.into_log();
     assert!(m.delivered_packets > 0);
     assert_eq!(trace.receptions.len() as u64, m.delivered_packets);
     assert!(!trace.attempts.is_empty(), "node 2 forwarded packets");

@@ -23,7 +23,9 @@
 //! GOLDEN_REGEN=1 cargo test -p jtp-netsim --test golden_traces
 //! ```
 
-use jtp_netsim::{run_digest_events, Scenario, TransportKind};
+use jtp_netsim::{
+    try_run_digest_with, EventChecksum, ExperimentConfig, GoldenDigest, Scenario, TransportKind,
+};
 
 /// The committed digests, one line per (scenario, transport).
 const GOLDEN: &str = include_str!("golden/digests.txt");
@@ -44,6 +46,12 @@ const TRANSPORTS: [(TransportKind, Option<&str>); 5] = [
     (TransportKind::Cubic, Some("cubic")),
     (TransportKind::Bbr, Some("bbr")),
 ];
+
+/// The digest and the full event-stream checksum of one run.
+fn run_digest_events(cfg: &ExperimentConfig) -> (GoldenDigest, u64) {
+    let (d, ev) = try_run_digest_with(cfg, EventChecksum::default()).expect("catalog lowers");
+    (d, ev.finish())
+}
 
 /// Run the full golden matrix once, producing the digest lines and the
 /// event-checksum lines in lockstep order: each transport block over the

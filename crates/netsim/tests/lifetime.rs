@@ -315,7 +315,8 @@ fn hundred_node_grid_lifetime_smoke() {
 /// positions just before the blast and diffing the survivor set.
 #[test]
 fn area_failure_under_mobility_samples_positions_at_event_time() {
-    use jtp_netsim::{Network, TraceConfig};
+    use jtp_events::NoopSubscriber;
+    use jtp_netsim::Network;
     use jtp_phys::Point;
     use jtp_sim::{run_until, SimTime};
 
@@ -332,7 +333,7 @@ fn area_failure_under_mobility_samples_positions_at_event_time() {
                 radius_m: radius,
             },
         ));
-    let (mut net, mut queue) = Network::new(&cfg, TraceConfig::default());
+    let (mut net, mut queue) = Network::try_with_subscriber(&cfg, NoopSubscriber).expect("valid");
     // Drive to just past the last mobility tick before the blast (ticks
     // are 1 s apart; the blast at t=120 fires on the 119-tick positions
     // because dynamics events were enqueued before that tick).

@@ -16,8 +16,12 @@
 //!   advertising weight 1, the energy-weighted tables must equal plain
 //!   hop-count tables, next hop for next hop.
 
+use jtp_events::NoopSubscriber;
 use jtp_netsim::topology::{adjacency_from_positions, try_place_nodes};
-use jtp_netsim::{run_digest, DynamicsAction, DynamicsEvent, Scenario, TransportKind};
+use jtp_netsim::{
+    try_run_digest_with, DynamicsAction, DynamicsEvent, ExperimentConfig, GoldenDigest, Scenario,
+    TransportKind,
+};
 use jtp_routing::LinkState;
 use jtp_sim::{NodeId, SimRng, SimTime};
 
@@ -38,11 +42,17 @@ fn pinned() -> Vec<Scenario> {
         .collect()
 }
 
+fn digest(cfg: &ExperimentConfig) -> GoldenDigest {
+    try_run_digest_with(cfg, NoopSubscriber)
+        .expect("catalog lowers")
+        .0
+}
+
 #[test]
 fn post_horizon_dynamics_are_inert() {
     for sc in pinned() {
         let cfg = sc.build(TransportKind::Jtp);
-        let base = run_digest(&cfg);
+        let base = digest(&cfg);
         let mut extended = cfg.clone();
         let horizon = cfg.duration.as_secs_f64();
         extended.dynamics.extend([
@@ -50,7 +60,7 @@ fn post_horizon_dynamics_are_inert() {
             DynamicsEvent::at_s(horizon + 30.0, DynamicsAction::NodeUp(NodeId(0))),
         ]);
         assert_eq!(
-            run_digest(&extended),
+            digest(&extended),
             base,
             "{}: dynamics scheduled past the horizon perturbed the run",
             sc.name

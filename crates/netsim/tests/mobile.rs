@@ -1,6 +1,6 @@
 //! Mobile-topology tests: the first-partition metrics fix and the mobile
-//! scale-family smoke (the CI `mobile-smoke` job runs this file in
-//! release mode). The spatial-grid and diffed-truth oracles live in the
+//! scale-family smoke (CI's `release-gate` job runs it in release
+//! mode). The spatial-grid and diffed-truth oracles live in the
 //! unit tests of `topology.rs` and `truth.rs`, next to the test-only
 //! reference paths they call.
 

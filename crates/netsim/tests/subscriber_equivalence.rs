@@ -11,7 +11,7 @@
 //! agree exactly.
 
 use jtp_events::{DropCause, EventCounters, NoopSubscriber, TimeAccountant};
-use jtp_netsim::runner::{try_run_digest, try_run_digest_with, try_run_subscribed};
+use jtp_netsim::runner::{try_run_digest_with, try_run_subscribed};
 use jtp_netsim::{ReportRecorder, Scenario, TransportKind};
 
 /// A catalog slice that exercises every event source: static baseline,
@@ -41,7 +41,7 @@ fn full_subscriber_stack_never_moves_a_digest() {
     for sc in slice() {
         for transport in [TransportKind::Jtp, TransportKind::Tcp] {
             let cfg = sc.build(transport);
-            let off = try_run_digest(&cfg).expect("catalog lowers");
+            let (off, _) = try_run_digest_with(&cfg, NoopSubscriber).expect("catalog lowers");
             let (on, _) =
                 try_run_digest_with(&cfg, (ReportRecorder::new(), TimeAccountant::default()))
                     .expect("catalog lowers");

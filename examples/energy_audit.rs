@@ -10,8 +10,9 @@
 //! ```
 
 use javelen::events::TimeAccountant;
-use javelen::netsim::runner::run_subscribed;
-use javelen::netsim::{run_experiment, ExperimentConfig, ReportRecorder, TransportKind};
+use javelen::netsim::{
+    run_experiment, try_run_subscribed, ExperimentConfig, ReportRecorder, TransportKind,
+};
 use javelen::phys::gilbert::GilbertConfig;
 use javelen::phys::BatteryConfig;
 
@@ -88,7 +89,8 @@ fn main() {
             ..GilbertConfig::paper_default()
         };
         let (m, (rec, _time)) =
-            run_subscribed(&cfg, (ReportRecorder::new(), TimeAccountant::default()));
+            try_run_subscribed(&cfg, (ReportRecorder::new(), TimeAccountant::default()))
+                .expect("valid config");
         let report = rec.into_report("chain7-lifetime", kind, cfg.seed, &m);
         let fmt_opt = |t: Option<f64>| match t {
             Some(t) => format!("{t:.1}"),

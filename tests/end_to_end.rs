@@ -4,7 +4,8 @@
 
 use javelen::jtp::analysis;
 use javelen::netsim::{
-    run_experiment, run_many, run_traced, ExperimentConfig, FlowSpec, TraceConfig, TransportKind,
+    run_experiment, run_many, try_run_subscribed, ExperimentConfig, FlowSpec, TraceConfig,
+    TraceSubscriber, TransportKind,
 };
 use javelen::phys::gilbert::GilbertConfig;
 use javelen::sim::{FlowId, NodeId, SimDuration};
@@ -176,13 +177,12 @@ fn route_break_mid_transfer_is_survived() {
 
 #[test]
 fn trace_reception_rate_matches_goodput() {
-    let (m, trace) = run_traced(
-        &chain(4, TransportKind::Jtp, 120),
-        TraceConfig {
-            receptions: true,
-            ..Default::default()
-        },
-    );
+    let trace = TraceSubscriber::new(TraceConfig {
+        receptions: true,
+        ..Default::default()
+    });
+    let (m, sub) = try_run_subscribed(&chain(4, TransportKind::Jtp, 120), trace).expect("valid");
+    let trace = sub.into_log();
     let n_receptions = trace
         .receptions
         .iter()
